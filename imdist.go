@@ -629,7 +629,8 @@ func (b *SketchBuilder) NumRRSets() int { return b.b.NumSets() }
 
 // ErrorBound estimates the sketch's current relative error for seed sets of
 // size k at confidence 1-delta (the adaptive stopping quantity; +Inf while
-// the sketch is empty). Non-positive k and out-of-range delta select the
+// the sketch is empty). It is a same-pool Hoeffding stopping heuristic, not
+// a (1−1/e−ε) certificate. Non-positive k and out-of-range delta select the
 // defaults (k=10, delta=0.01).
 func (b *SketchBuilder) ErrorBound(k int, delta float64) float64 {
 	return b.b.ErrorBound(k, delta)

@@ -9,12 +9,11 @@
 // returns exact integer RR-set counts, integers sum exactly in any order, and
 // the coordinator performs the one float division by the fleet-wide RR-set
 // total itself — the same expression, on the same integers, as the unsplit
-// oracle. Greedy seed selection runs a CELF-style lazy-evaluation loop over
-// summed per-shard marginal counts, with the exact (max gain, then smallest
-// vertex id) argmax of core.Oracle.GreedySeeds; top-k ranks the summed
-// per-vertex counts with the exact sort of TopSingleVertices. The gather work
-// is proportional to the answer (counts and candidate gains), never to
-// shards × RR sets.
+// oracle. Greedy seed selection runs core.CELF, the lazy-greedy loop behind
+// core.Oracle.GreedySeeds, over summed per-shard marginal counts; top-k ranks
+// the summed per-vertex counts with the exact sort of TopSingleVertices. The
+// gather work is proportional to the answer (counts and candidate gains),
+// never to shards × RR sets.
 //
 // The coordinator holds no state besides its target list: every response
 // carries the shard's identity (build identity + lineage), and the

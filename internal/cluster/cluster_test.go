@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"imdist/internal/core"
@@ -194,6 +195,47 @@ func TestCoordinatorEquivalence(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestCoordinatorGreedyBatchSizes pins distributed greedy to the single
+// process at several -greedy-batch values: the CELF loop selects the same
+// sequence however many stale entries each scatter re-evaluates. Requests run
+// concurrently, so the shards' pooled covered state and the coordinator's
+// per-call loop state are exercised by overlapping selections.
+func TestCoordinatorGreedyBatchSizes(t *testing.T) {
+	path := buildSketchFile(t, diffusion.IC, 2*core.DefaultBatchShardSize, 11)
+	single := serveSketchFile(t, path)
+	targets := launchFleet(t, path, 2)
+	bodies := []string{`{"k":1}`, `{"k":5}`, `{"k":20}`, `{"k":34}`, `{"k":50}`}
+	want := make([]string, len(bodies))
+	for i, body := range bodies {
+		status, raw := postJSON(t, single.URL+"/v1/seeds", body)
+		if status != http.StatusOK {
+			t.Fatalf("single %s: status %d (%s)", body, status, raw)
+		}
+		want[i] = string(raw)
+	}
+	for _, batch := range []int{1, 3, 0} { // 0 selects DefaultGreedyBatch
+		coord := newCoordinator(t, Config{Targets: targets, GreedyBatch: batch})
+		var wg sync.WaitGroup
+		for i, body := range bodies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(coord.URL+"/v1/seeds", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				raw, err := io.ReadAll(resp.Body)
+				if err != nil || resp.StatusCode != http.StatusOK || string(raw) != want[i] {
+					t.Errorf("batch %d, %s: status %d err %v\n got: %s\nwant: %s", batch, body, resp.StatusCode, err, raw, want[i])
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

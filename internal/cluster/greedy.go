@@ -1,58 +1,23 @@
 package cluster
 
-// Distributed greedy seed selection: a CELF-style lazy-evaluation loop over
-// fleet-wide marginal coverage counts that reproduces, vertex for vertex,
-// what core.Oracle.GreedySeeds computes on the unsplit sketch.
-//
-// Correctness of the lazy selection: the heap orders candidates by (gain
-// desc, id asc), the exact preference of GreedySeeds' argmax scan. A stale
-// entry's gain is an upper bound on its true gain (submodularity: marginal
-// gains only shrink as the seed set grows). So when the heap's top entry is
-// fresh — evaluated against the current seed set — every other candidate's
-// true gain is at most the top's gain, and any candidate whose stale bound
-// ties it sits below the top only if its id is larger. Selecting a fresh top
-// is therefore exactly the (max gain, min id) argmax, without re-evaluating
-// the candidates that stayed buried. Stale entries are re-evaluated in
-// batches of GreedyBatch per scatter, so the RPC count per round is
-// O(stale/batch), not O(n).
+// Distributed greedy seed selection: core.CELF — the loop behind
+// core.Oracle.GreedySeeds — with a fleet-wide /v1/shard/marginal scatter as
+// its marginal-gain primitive. The summed per-shard gains are exactly the
+// unsplit sketch's, and the loop's (gain desc, id asc) selection does not
+// depend on how many stale entries each evaluation re-scores (see
+// internal/core/marginal.go), so the fleet selects the unsplit sketch's seed
+// sequence vertex for vertex. Stale entries are re-evaluated in batches of
+// GreedyBatch per scatter, so the RPC count per round is O(stale/batch), not
+// O(n).
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
+	"imdist/internal/core"
+	"imdist/internal/graph"
 	"imdist/internal/server"
 )
-
-// celfEntry is one candidate in the lazy-greedy queue: v's fleet-wide
-// marginal gain as of round (i.e. computed against the first round selected
-// seeds).
-type celfEntry struct {
-	v     int
-	gain  int64
-	round int
-}
-
-// celfHeap orders by gain descending, then vertex id ascending — the
-// GreedySeeds argmax preference.
-type celfHeap []celfEntry
-
-func (h celfHeap) Len() int { return len(h) }
-func (h celfHeap) Less(i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
-	}
-	return h[i].v < h[j].v
-}
-func (h celfHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *celfHeap) Push(x any)   { *h = append(*h, x.(celfEntry)) }
-func (h *celfHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
 
 // greedySeeds answers /v1/seeds for the fleet: the same seed sequence and
 // influence a single process computes with GreedySeeds + Influence on the
@@ -64,46 +29,32 @@ func (c *Coordinator) greedySeeds(ctx context.Context, sketch string, k int) (se
 	if err != nil {
 		return server.SeedsResponse{}, err
 	}
-	if k > first.vertices {
-		k = first.vertices
-	}
-	h := make(celfHeap, len(first.gains))
-	for v, gain := range first.gains {
-		h[v] = celfEntry{v: v, gain: gain, round: 0}
-	}
-	heap.Init(&h)
-
-	selected := make([]int, 0, k)
-	var covered int64 // telescoping: Σ selected gains == Coverage(selected)
-	for len(selected) < k {
-		if h[0].round == len(selected) {
-			e := heap.Pop(&h).(celfEntry)
-			covered += e.gain
-			selected = append(selected, e.v)
-			continue
-		}
-		// Re-evaluate up to GreedyBatch stale entries with one scatter.
-		batch := make([]celfEntry, 0, c.cfg.GreedyBatch)
-		for i := 0; i < c.cfg.GreedyBatch && len(h) > 0 && h[0].round != len(selected); i++ {
-			batch = append(batch, heap.Pop(&h).(celfEntry))
-		}
-		candidates := make([]int, len(batch))
-		for i, e := range batch {
-			candidates[i] = e.v
-		}
-		mg, err := c.scatterMarginal(ctx, sketch, selected, candidates)
+	marginal := func(seeds, candidates []graph.VertexID, gains []int64) error {
+		mg, err := c.scatterMarginal(ctx, sketch, toInts(seeds), toInts(candidates))
 		if err != nil {
-			return server.SeedsResponse{}, err
+			return err
 		}
 		// A shard hot-reloaded to a different sketch mid-selection would make
 		// the rounds' gains incomparable; rather than merge counts from two
 		// different builds, fail the query — the client's retry starts clean.
 		if mg.fleetView != first.fleetView {
-			return server.SeedsResponse{}, fmt.Errorf("fleet identity changed during seed selection (sketch reloaded mid-query); retry")
+			return fmt.Errorf("fleet identity changed during seed selection (sketch reloaded mid-query); retry")
 		}
-		for i := range batch {
-			heap.Push(&h, celfEntry{v: batch[i].v, gain: mg.gains[i], round: len(selected)})
-		}
+		copy(gains, mg.gains)
+		return nil
 	}
-	return server.SeedsResponse{Seeds: selected, Influence: first.influence(covered)}, nil
+	seeds, covered, err := core.CELF(k, first.gains, c.cfg.GreedyBatch, marginal)
+	if err != nil {
+		return server.SeedsResponse{}, err
+	}
+	return server.SeedsResponse{Seeds: toInts(seeds), Influence: first.influence(covered)}, nil
+}
+
+// toInts converts vertex ids to the JSON wire form of the shard API.
+func toInts(vs []graph.VertexID) []int {
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		out[i] = int(v)
+	}
+	return out
 }

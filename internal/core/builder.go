@@ -16,9 +16,10 @@ import (
 // a builder appends batches of RR sets on demand (AppendBatch), reports the
 // current accuracy of the sketch (ErrorBound) and can loop append→check until
 // a target relative error or a hard cap is reached (BuildToTarget) — the
-// stopping-rule idea behind adaptive RIS algorithms (OPIM, D-SSA): the RR-set
-// count is the single cost/accuracy dial, so stop paying as soon as the
-// accuracy goal is met instead of guessing the count up front.
+// stopping-rule idea behind adaptive RIS algorithms (OPIM, D-SSA), though
+// without their certificate (see ErrorBound): the RR-set count is the single
+// cost/accuracy dial, so stop paying as soon as the accuracy goal is met
+// instead of guessing the count up front.
 //
 // Every RR set draws from its own rng stream derived from the builder's seed,
 // and the stream index is the set's global position in the sketch. A sketch
@@ -239,15 +240,15 @@ const DefaultBoundDelta = 0.01
 // ErrorBound estimates the current relative error of the sketch for seed sets
 // of size k at confidence 1-delta: the Hoeffding half-width of an influence
 // estimate from R RR sets, n·sqrt(ln(2/δ)/2R), divided by the sketch's own
-// greedy top-k influence as a stand-in for the optimum. It is the
-// OPIM/D-SSA-style stopping quantity BuildToTarget drives to a target: it
-// shrinks as 1/sqrt(R), so halving the bound costs 4× the sets. An empty
-// sketch reports +Inf. k < 1 and out-of-range delta select DefaultBoundK and
-// DefaultBoundDelta.
+// greedy top-k influence as a stand-in for the optimum. It is the stopping
+// quantity BuildToTarget drives to a target: it shrinks as 1/sqrt(R), so
+// halving the bound costs 4× the sets. An empty sketch reports +Inf. k < 1
+// and out-of-range delta select DefaultBoundK and DefaultBoundDelta.
 //
-// The bound is an engineering estimate, not the paper-exact (1−1/e−ε)
-// guarantee: the optimum proxy is estimated on the same RR sets it bounds, so
-// treat it as a stopping rule, not a certificate.
+// It is a same-pool Hoeffding stopping heuristic, not a (1−1/e−ε)
+// approximation certificate: the greedy influence that stands in for the
+// optimum is measured on the same RR sets the bound is about, so the result
+// carries no probability-1−δ guarantee on the selected seeds' quality.
 func (b *SketchBuilder) ErrorBound(k int, delta float64) float64 {
 	r := b.store.NumSets()
 	if r == 0 {
@@ -263,7 +264,8 @@ func (b *SketchBuilder) ErrorBound(k int, delta float64) float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
-	lb := o.influenceOf(o.GreedySeeds(k))
+	_, covered := o.GreedyCoverage(k)
+	lb := o.CoverageInfluence(covered)
 	if lb < 1 {
 		lb = 1
 	}

@@ -9,10 +9,10 @@ import (
 )
 
 // Kernel selects the coverage-counting implementation behind the oracle's
-// query path — Influence, BatchInfluence, GreedySeeds and (through them)
-// everything the server and the facade expose. Both kernels compute the exact
-// same integer coverage counts, so every Kernel value returns byte-identical
-// answers; the knob trades memory for raw scan speed:
+// query path — Influence, BatchInfluence, MarginalCoverage, GreedySeeds and
+// (through them) everything the server and the facade expose. Both kernels
+// compute the exact same integer coverage counts, so every Kernel value
+// returns byte-identical answers; the knob trades memory for raw scan speed:
 //
 //   - KernelEpoch walks the int-slice membership lists with an epoch-stamped
 //     mark array — the reference implementation, O(Σ|memberOf[seed]|) random
@@ -192,6 +192,44 @@ func (m *bitMatrix) coverage(seeds []graph.VertexID, acc []uint64) int64 {
 	return hits
 }
 
+// coveredWords returns the length of a covered bitmap over m's full index
+// space: one bit per RR set, block b's words starting at b·maxBlockWords()
+// (every block but the last is full width).
+func (m *bitMatrix) coveredWords() int {
+	total := 0
+	for _, w := range m.blockWords {
+		total += w
+	}
+	return total
+}
+
+// cover ORs vertex v's rows into the covered bitmap.
+func (m *bitMatrix) cover(v int, covered []uint64) {
+	for b := range m.numBlocks() {
+		row := m.row(v, b)
+		cov := covered[b*m.maxBlockWords():]
+		cov = cov[:len(row)]
+		for i, word := range row {
+			cov[i] |= word
+		}
+	}
+}
+
+// uncovered counts the RR sets containing v that the covered bitmap does not
+// flag: popcount(row AND NOT covered), summed over the blocks.
+func (m *bitMatrix) uncovered(v int, covered []uint64) int64 {
+	var hits int64
+	for b := range m.numBlocks() {
+		row := m.row(v, b)
+		cov := covered[b*m.maxBlockWords():]
+		cov = cov[:len(row)]
+		for i, word := range row {
+			hits += int64(bits.OnesCount64(word &^ cov[i]))
+		}
+	}
+	return hits
+}
+
 // kernelState is the oracle's lazily resolved kernel machinery: the
 // configured policy, the auto decision (fixed at construction — it depends
 // only on the snapshot's shape), and the packed index built on first use.
@@ -294,53 +332,4 @@ func (o *Oracle) bitpackCoverage(seeds []graph.VertexID) int64 {
 	hits := m.coverage(seeds, *acc)
 	o.putAcc(acc)
 	return hits
-}
-
-// greedySeedsBitpack is GreedySeeds on the packed index: instead of stamping
-// epochs per covered element, each round recomputes every candidate's
-// marginal gain as popcount(row AND NOT covered) over the blocked words and
-// ORs the winner's rows into the covered accumulator. The gains equal the
-// epoch path's eagerly maintained coverCount values exactly (both are the
-// candidate's uncovered membership count), and the argmax scans vertices in
-// ascending order with a strict comparison, so ties break identically and
-// the selected seed sequence is byte-identical to the epoch kernel's.
-func (o *Oracle) greedySeedsBitpack(k int) []graph.VertexID {
-	m := o.packedMatrix()
-	covered := make([]uint64, 0, m.numBlocks()*m.maxBlockWords())
-	coveredStart := make([]int, m.numBlocks()+1)
-	for b := 0; b < m.numBlocks(); b++ {
-		coveredStart[b+1] = coveredStart[b] + m.blockWords[b]
-	}
-	covered = covered[:coveredStart[m.numBlocks()]]
-	chosen := make([]bool, o.n)
-	seeds := make([]graph.VertexID, 0, k)
-	for len(seeds) < k {
-		best, bestGain := -1, int64(-1)
-		for v := 0; v < o.n; v++ {
-			if chosen[v] {
-				continue
-			}
-			var gain int64
-			for b := 0; b < m.numBlocks(); b++ {
-				row := m.row(v, b)
-				cov := covered[coveredStart[b]:coveredStart[b+1]]
-				for i, word := range row {
-					gain += int64(bits.OnesCount64(word &^ cov[i]))
-				}
-			}
-			if best < 0 || gain > bestGain {
-				best, bestGain = v, gain
-			}
-		}
-		chosen[best] = true
-		seeds = append(seeds, graph.VertexID(best))
-		for b := 0; b < m.numBlocks(); b++ {
-			row := m.row(best, b)
-			cov := covered[coveredStart[b]:coveredStart[b+1]]
-			for i, word := range row {
-				cov[i] |= word
-			}
-		}
-	}
-	return seeds
 }

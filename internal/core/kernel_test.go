@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"imdist/internal/diffusion"
+	"imdist/internal/gen"
 	"imdist/internal/graph"
 	"imdist/internal/rng"
+	"imdist/internal/workload"
 )
 
 func TestParseKernel(t *testing.T) {
@@ -325,18 +327,53 @@ func BenchmarkCoverageBatch(b *testing.B) {
 	}
 }
 
+// baGreedyOracle is the generated-graph greedy benchmark's oracle: a
+// Barabási–Albert graph (n=2000, m=8) under uc0.1 with 2^16 RR sets, the
+// dense-membership shape of the layered benchmark's ic4k workload at a size
+// a one-iteration bench smoke can set up quickly. Built once and shared by
+// both kernels' sub-benchmarks.
+var baGreedyOracle = sync.OnceValues(func() (*Oracle, error) {
+	g, err := gen.BarabasiAlbert(2000, 8, rng.NewXoshiro(11))
+	if err != nil {
+		return nil, err
+	}
+	ig, err := workload.Assign(g, workload.UC01, nil)
+	if err != nil {
+		return nil, err
+	}
+	return NewOracleParallel(ig, diffusion.IC, 1<<16, -1, rng.NewXoshiro(12))
+})
+
 // BenchmarkCoverageGreedy compares the kernels on greedy seed selection
-// (the /v1/seeds cold path).
+// (the /v1/seeds cold path): k=10 on the 200k-set Karate oracle and k=50 on
+// the generated BA graph, where the vertex count makes the selection
+// strategy, not the per-vertex scan, the cost.
 func BenchmarkCoverageGreedy(b *testing.B) {
+	run := func(b *testing.B, o *Oracle, k int) {
+		o.GreedySeeds(1) // builds the packed index and the pooled scratch
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if seeds := o.GreedySeeds(k); len(seeds) != k {
+				b.Fatal("short seed set")
+			}
+		}
+	}
 	for _, kernel := range []Kernel{KernelEpoch, KernelBitpack} {
 		b.Run("kernel="+string(kernel), func(b *testing.B) {
 			o, _ := benchmarkCoverageOracle(b, kernel)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if seeds := o.GreedySeeds(10); len(seeds) != 10 {
-					b.Fatal("short seed set")
-				}
+			run(b, o, 10)
+		})
+	}
+	for _, kernel := range []Kernel{KernelEpoch, KernelBitpack} {
+		b.Run("graph=ba2k/kernel="+string(kernel), func(b *testing.B) {
+			o, err := baGreedyOracle()
+			if err != nil {
+				b.Fatal(err)
 			}
+			if err := o.SetKernel(kernel); err != nil {
+				b.Fatal(err)
+			}
+			run(b, o, 50)
 		})
 	}
 }

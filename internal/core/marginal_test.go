@@ -2,9 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
+	"imdist/internal/diffusion"
 	"imdist/internal/graph"
+	"imdist/internal/rng"
 )
 
 // bothKernels runs fn against the oracle under the epoch and bitpack kernels.
@@ -154,34 +158,115 @@ func TestMarginalCoverageValidation(t *testing.T) {
 	}
 }
 
-// TestMarginalGreedyReproducesGreedySeeds runs the coordinator's argmax loop —
-// pick the candidate with the highest marginal count, ties to the smallest
-// vertex id — against MarginalCoverage and checks it selects the exact seed
-// sequence GreedySeeds returns.
-func TestMarginalGreedyReproducesGreedySeeds(t *testing.T) {
-	o := mustOracle(t, karateIWC(t), 4000, 8)
-	bothKernels(t, o, func(t *testing.T, o *Oracle) {
-		want := o.GreedySeeds(5)
-		var seeds []graph.VertexID
-		for len(seeds) < 5 {
-			gains, err := o.MarginalCoverage(seeds, nil)
-			if err != nil {
-				t.Fatal(err)
+// referenceGreedy is greedy maximum coverage by definition: every round a
+// full MarginalCoverage over all vertices and the (max gain, smallest id)
+// argmax over the vertices not yet selected. k is clamped to the vertex
+// count.
+func referenceGreedy(t *testing.T, o *Oracle, k int) []graph.VertexID {
+	t.Helper()
+	k = min(k, o.NumVertices())
+	chosen := make([]bool, o.NumVertices())
+	var seeds []graph.VertexID
+	for len(seeds) < k {
+		gains, err := o.MarginalCoverage(seeds, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := -1
+		for v, g := range gains {
+			if !chosen[v] && (best < 0 || g > gains[best]) {
+				best = v
 			}
-			best, bestGain := graph.VertexID(0), int64(-1)
-			for v, g := range gains {
-				if g > bestGain {
-					best, bestGain = graph.VertexID(v), g
+		}
+		chosen[best] = true
+		seeds = append(seeds, graph.VertexID(best))
+	}
+	return seeds
+}
+
+// marginalCoverageFunc adapts the stateless MarginalCoverage to CELF's
+// primitive, as the coordinator's scatter does over a fleet.
+func marginalCoverageFunc(o *Oracle) MarginalFunc {
+	return func(seeds, candidates []graph.VertexID, gains []int64) error {
+		g, err := o.MarginalCoverage(seeds, candidates)
+		copy(gains, g)
+		return err
+	}
+}
+
+// TestMarginalGreedyReproducesGreedySeeds pins the CELF loop to the
+// reference argmax: GreedySeeds and GreedyCoverage (the loop on the oracle's
+// incremental covered state) and CELF over MarginalCoverage at batch 1 and
+// 128 (the coordinator's default) must all select referenceGreedy's exact
+// sequence, and the coverage they return must equal Coverage(seeds). It runs
+// under both kernels, IC and LT, at k in {1, 5, n, n+3} — the zero-gain tail
+// and the k clamp — on an oracle of more than one 64Ki-set block, so the
+// bitpack covered bitmap spans blocks, and on one too small to give every
+// pick a positive gain.
+func TestMarginalGreedyReproducesGreedySeeds(t *testing.T) {
+	karate := karateIWC(t)
+	lt, err := NewOracleForModel(karate, diffusion.LT, 4000, rng.NewXoshiro(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracles := []struct {
+		name string
+		o    *Oracle
+	}{
+		{"ic", mustOracle(t, karate, 4000, 8)},
+		{"lt", lt},
+		{"ic-multiblock", mustOracle(t, karate, DefaultBatchShardSize+4464, 8)},
+		// 8 RR sets: at most 8 picks gain anything, so k >= 9 selects a
+		// zero-gain tail in id order.
+		{"ic-8sets", mustOracle(t, karate, 8, 8)},
+	}
+	for _, kernel := range []Kernel{KernelEpoch, KernelBitpack} {
+		t.Run(string(kernel), func(t *testing.T) {
+			for _, c := range oracles {
+				o := c.o
+				if err := o.SetKernel(kernel); err != nil {
+					t.Fatal(err)
+				}
+				n := o.NumVertices()
+				initial, err := o.MarginalCoverage(nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Every k's greedy sequence is a prefix of the full one.
+				all := referenceGreedy(t, o, n)
+				for _, k := range []int{1, 5, n, n + 3} {
+					t.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(t *testing.T) {
+						want := all[:min(k, n)]
+						wantCovered, err := o.Coverage(want)
+						if err != nil {
+							t.Fatal(err)
+						}
+						check := func(what string, seeds []graph.VertexID, covered int64) {
+							t.Helper()
+							if !slices.Equal(seeds, want) {
+								t.Fatalf("%s picked %v, reference picked %v", what, seeds, want)
+							}
+							if covered != wantCovered {
+								t.Fatalf("%s coverage %d, Coverage(seeds) %d", what, covered, wantCovered)
+							}
+						}
+						if seeds := o.GreedySeeds(k); !slices.Equal(seeds, want) {
+							t.Fatalf("GreedySeeds picked %v, reference picked %v", seeds, want)
+						}
+						seeds, covered := o.GreedyCoverage(k)
+						check("GreedyCoverage", seeds, covered)
+						for _, batch := range []int{1, 128} {
+							seeds, covered, err := CELF(k, initial, batch, marginalCoverageFunc(o))
+							if err != nil {
+								t.Fatal(err)
+							}
+							check(fmt.Sprintf("CELF batch %d", batch), seeds, covered)
+						}
+					})
 				}
 			}
-			seeds = append(seeds, best)
-		}
-		for i := range want {
-			if seeds[i] != want[i] {
-				t.Fatalf("marginal greedy picked %v, GreedySeeds picked %v", seeds, want)
-			}
-		}
-	})
+		})
+	}
 }
 
 func TestShardLineage(t *testing.T) {

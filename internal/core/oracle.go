@@ -28,9 +28,9 @@ import (
 // identical influence estimates. With R RR sets the 99% confidence interval
 // of an estimate is n·F(S) ± 1.29·n/√R.
 //
-// The query methods (Influence, GreedySeeds, TopSingleVertices) are safe for
-// concurrent use: all per-call scratch state lives in pooled buffers, never
-// on the oracle itself.
+// The query methods (Influence, MarginalCoverage, GreedySeeds,
+// TopSingleVertices) are safe for concurrent use: all per-call scratch state
+// lives in pooled buffers, never on the oracle itself.
 type Oracle struct {
 	n       int
 	numSets int
@@ -51,9 +51,10 @@ type Oracle struct {
 	// for whole sketches); it travels with the oracle when serialized.
 	shard ShardLineage
 
-	// influencePool holds *influenceScratch, greedyPool holds *greedyScratch.
+	// influencePool holds *influenceScratch, coverPool holds *coverState
+	// (MarginalCoverage and GreedySeeds).
 	influencePool sync.Pool
-	greedyPool    sync.Pool
+	coverPool     sync.Pool
 
 	// kernels holds the coverage-kernel selection (epoch vs bitpack) and the
 	// lazily built packed index; see kernel.go.
@@ -346,7 +347,14 @@ func (o *Oracle) Influence(seeds []graph.VertexID) (float64, error) {
 // influenceOf is Influence for pre-validated seed sets (internal callers
 // whose seeds the oracle itself produced).
 func (o *Oracle) influenceOf(seeds []graph.VertexID) float64 {
-	return float64(o.n) * float64(o.coverageOf(seeds)) / float64(o.numSets)
+	return o.CoverageInfluence(o.coverageOf(seeds))
+}
+
+// CoverageInfluence converts a coverage count (Coverage, GreedyCoverage) to
+// the oracle's influence estimate n·hits/R — the one float expression every
+// influence answer is computed with.
+func (o *Oracle) CoverageInfluence(hits int64) float64 {
+	return float64(o.n) * float64(hits) / float64(o.numSets)
 }
 
 // Coverage returns the raw coverage count of the seed set: the exact number
@@ -397,75 +405,35 @@ func (o *Oracle) ConfidenceHalfWidth(z float64) float64 {
 	return float64(o.n) * stats.BinomialCI(0.5, o.numSets, z)
 }
 
-// greedyScratch is the pooled per-call state of GreedySeeds.
-type greedyScratch struct {
-	covered    []bool
-	coverCount []int32
-	chosen     []bool
-}
-
-func (o *Oracle) getGreedyScratch() *greedyScratch {
-	s, _ := o.greedyPool.Get().(*greedyScratch)
-	if s == nil || len(s.covered) != o.numSets || len(s.chosen) != o.n {
-		return &greedyScratch{
-			covered:    make([]bool, o.numSets),
-			coverCount: make([]int32, o.n),
-			chosen:     make([]bool, o.n),
-		}
-	}
-	clear(s.covered)
-	clear(s.chosen)
-	return s
-}
-
 // GreedySeeds runs greedy maximum coverage directly on the oracle's RR sets
-// and returns the resulting seed set. The paper uses the seed set obtained at
-// entropy 0 as "Exact Greedy"; when an instance has not converged within the
-// swept sample numbers this oracle-greedy solution is the natural reference,
-// since it is exactly what every approach converges to as its sample number
-// grows (they all become coverage maximization over an ever-better RR-set or
-// snapshot pool).
+// and returns the resulting seed set; k is clamped to the vertex count. The
+// paper uses the seed set obtained at entropy 0 as "Exact Greedy"; when an
+// instance has not converged within the swept sample numbers this
+// oracle-greedy solution is the natural reference, since it is exactly what
+// every approach converges to as its sample number grows (they all become
+// coverage maximization over an ever-better RR-set or snapshot pool).
 func (o *Oracle) GreedySeeds(k int) []graph.VertexID {
-	if k < 1 {
-		return nil
-	}
-	if k > o.n {
-		k = o.n
-	}
-	if o.useBitpack() {
-		return o.greedySeedsBitpack(k)
-	}
-	s := o.getGreedyScratch()
-	covered, coverCount, chosen := s.covered, s.coverCount, s.chosen
-	for v := 0; v < o.n; v++ {
-		coverCount[v] = int32(len(o.memberOf[v]))
-	}
-	seeds := make([]graph.VertexID, 0, k)
-	for len(seeds) < k {
-		best := -1
-		for v := 0; v < o.n; v++ {
-			if chosen[v] {
-				continue
-			}
-			if best < 0 || coverCount[v] > coverCount[best] {
-				best = v
-			}
-		}
-		bv := graph.VertexID(best)
-		chosen[best] = true
-		seeds = append(seeds, bv)
-		for _, idx := range o.memberOf[bv] {
-			if covered[idx] {
-				continue
-			}
-			covered[idx] = true
-			for _, u := range o.store.Set(int(idx)) {
-				coverCount[u]--
-			}
-		}
-	}
-	o.greedyPool.Put(s)
+	seeds, _ := o.GreedyCoverage(k)
 	return seeds
+}
+
+// GreedyCoverage is GreedySeeds together with the exact coverage count of
+// the returned seed set (equal to Coverage(seeds)), which the loop gets for
+// free as the sum of the selected gains. Every vertex starts at its
+// membership count, and only stale heap tops are re-evaluated, one at a
+// time, against a covered state that grows by one seed per pick.
+func (o *Oracle) GreedyCoverage(k int) ([]graph.VertexID, int64) {
+	if k < 1 {
+		return nil, 0
+	}
+	initial := make([]int64, o.n)
+	for v, sets := range o.memberOf {
+		initial[v] = int64(len(sets))
+	}
+	c := o.getCover()
+	seeds, covered, _ := CELF(k, initial, 1, c.marginal) // the local primitive never fails
+	o.putCover(c)
+	return seeds, covered
 }
 
 // TopSingleVertices returns the topK vertices ranked by single-vertex oracle

@@ -596,16 +596,12 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 			return v, nil
 		}
 		e.seedRuns.Add(1)
-		seeds := e.oracle.GreedySeeds(req.K)
-		inf, err := e.oracle.Influence(seeds)
-		if err != nil {
-			return nil, err
-		}
+		seeds, covered := e.oracle.GreedyCoverage(req.K)
 		out := make([]int, len(seeds))
 		for i, v := range seeds {
 			out[i] = int(v)
 		}
-		resp := SeedsResponse{Seeds: out, Influence: inf}
+		resp := SeedsResponse{Seeds: out, Influence: e.oracle.CoverageInfluence(covered)}
 		e.cache.Put(key, resp)
 		return resp, nil
 	})
