@@ -35,11 +35,13 @@
 //	imserve -coordinator -shard-target http://localhost:8081 \
 //	        -shard-target http://localhost:8082 -addr :8080
 //
-// The coordinator serves the same public /v1 query API, byte-identical to a
-// single process on the unsplit sketch, by scatter-gathering integer RR-set
-// counts over the fleet (see internal/cluster). Shards hot-reload through
-// their own admin APIs; the coordinator verifies fleet assembly on every
-// query and answers 503 naming the missing target while a shard is down.
+// The coordinator serves the public /v1 query API with the same handlers
+// as a single process, answered from integer RR-set counts scatter-gathered
+// over the fleet (see internal/cluster). The request limits and the
+// -read-timeout/-write-timeout flags apply in both modes. Shards hot-reload
+// through their own admin APIs; the coordinator verifies fleet assembly on
+// every query and answers 503 naming the missing target while a shard is
+// down.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests.
@@ -99,7 +101,6 @@ func run(args []string) error {
 	var (
 		coordinator  = fs.Bool("coordinator", false, "front a fleet of -shard-target servers instead of serving sketches directly")
 		coordSketch  = fs.String("coordinator-sketch", "", "sketch name the coordinator's unnamed routes query on the shard servers (default: each shard's default sketch)")
-		greedyBatch  = fs.Int("greedy-batch", cluster.DefaultGreedyBatch, "stale candidates re-evaluated per scatter round of distributed /v1/seeds")
 		sketchDir    = fs.String("sketch-dir", "", "directory of *.sketch files to serve under their base names; SIGHUP re-scans it")
 		defaultName  = fs.String("default", "", "sketch name aliased by the unnamed legacy routes (default: first sketch loaded)")
 		addr         = fs.String("addr", ":8080", "listen address")
@@ -116,6 +117,22 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// 0 means "disabled" on the flag but "default" in server.Limits; map it
+	// to the limits' negative-disables convention.
+	toConfigTimeout := func(d time.Duration) time.Duration {
+		if d == 0 {
+			return -1
+		}
+		return d
+	}
+	limits := server.Limits{
+		MaxBodyBytes:    *maxBody,
+		MaxSeeds:        *maxSeeds,
+		MaxK:            *maxK,
+		MaxBatchQueries: *maxBatch,
+		ReadTimeout:     toConfigTimeout(*readTimeout),
+		WriteTimeout:    toConfigTimeout(*writeTimeout),
+	}
 	if *coordinator {
 		if len(sketches) != 0 || *sketchDir != "" {
 			return fmt.Errorf("-coordinator serves a shard fleet; it takes -shard-target, not -sketch/-sketch-dir")
@@ -128,15 +145,7 @@ func run(args []string) error {
 				}
 			}
 		}
-		return runCoordinator(cluster.Config{
-			Targets:         targets,
-			Sketch:          *coordSketch,
-			MaxBodyBytes:    *maxBody,
-			MaxSeeds:        *maxSeeds,
-			MaxK:            *maxK,
-			MaxBatchQueries: *maxBatch,
-			GreedyBatch:     *greedyBatch,
-		}, *addr)
+		return runCoordinator(cluster.Config{Targets: targets, Sketch: *coordSketch, Limits: limits}, *addr)
 	}
 	if len(shardTargets) != 0 {
 		return fmt.Errorf("-shard-target requires -coordinator")
@@ -145,26 +154,13 @@ func run(args []string) error {
 		return fmt.Errorf("at least one -sketch or a -sketch-dir is required")
 	}
 
-	// 0 means "disabled" on the flag but "default" in server.Config; map it
-	// to the config's negative-disables convention.
-	toConfigTimeout := func(d time.Duration) time.Duration {
-		if d == 0 {
-			return -1
-		}
-		return d
-	}
 	srv, err := server.New(server.Config{
-		AllowEmpty:      true,
-		DefaultSketch:   *defaultName,
-		CacheSize:       *cache,
-		MaxBodyBytes:    *maxBody,
-		MaxSeeds:        *maxSeeds,
-		MaxK:            *maxK,
-		MaxBatchQueries: *maxBatch,
-		BatchWorkers:    *batchW,
-		Kernel:          *kernel,
-		ReadTimeout:     toConfigTimeout(*readTimeout),
-		WriteTimeout:    toConfigTimeout(*writeTimeout),
+		AllowEmpty:    true,
+		DefaultSketch: *defaultName,
+		CacheSize:     *cache,
+		Limits:        limits,
+		BatchWorkers:  *batchW,
+		Kernel:        *kernel,
 	})
 	if err != nil {
 		return err

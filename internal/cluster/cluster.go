@@ -1,19 +1,22 @@
 // Package cluster implements the scatter-gather coordinator of the
 // distributed serving tier: one process that fronts a fleet of imserve shard
 // servers, each holding one slice of a sketch split by imsketch -split, and
-// serves the unchanged public /v1 query API with answers byte-identical to a
-// single process serving the unsplit sketch.
+// serves the public /v1 query API with answers byte-identical to a single
+// process serving the unsplit sketch.
 //
-// The identity argument is the batch engine's merge algebra taken over the
-// network: every shard primitive (/v1/shard/coverage, /v1/shard/marginal)
-// returns exact integer RR-set counts, integers sum exactly in any order, and
-// the coordinator performs the one float division by the fleet-wide RR-set
-// total itself — the same expression, on the same integers, as the unsplit
-// oracle. Greedy seed selection runs core.CELF, the lazy-greedy loop behind
-// core.Oracle.GreedySeeds, over summed per-shard marginal counts; top-k ranks
-// the summed per-vertex counts with the exact sort of TopSingleVertices. The
-// gather work is proportional to the answer (counts and candidate gains),
-// never to shards × RR sets.
+// The coordinator adds no handlers of its own for that API: it serves
+// internal/server's Frontend — the same handler set a single process runs —
+// with a fleet backend (fleet.go) in place of a loaded sketch. The identity
+// argument is the batch engine's merge algebra taken over the network: every
+// shard primitive (/v1/shard/coverage, /v1/shard/marginal) returns exact
+// integer RR-set counts, integers sum exactly in any order, and the shared
+// handlers perform the one float division by the fleet-wide RR-set total —
+// the same expression, on the same integers, as on the unsplit oracle.
+// Greedy seed selection runs core.CELF, the loop behind
+// core.Oracle.GreedySeeds, over summed per-shard marginal counts; top-k
+// ranks the summed per-vertex counts with core.TopVertices. The gather work
+// is proportional to the answer (counts and candidate gains), never to
+// shards × RR sets.
 //
 // The coordinator holds no state besides its target list: every response
 // carries the shard's identity (build identity + lineage), and the
@@ -28,12 +31,10 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -41,22 +42,16 @@ import (
 	"imdist/internal/server"
 )
 
-// Defaults for Config zero values, matching internal/server where the knob
-// has a server-side counterpart.
 const (
-	DefaultMaxBodyBytes    = server.DefaultMaxBodyBytes
-	DefaultMaxSeeds        = server.DefaultMaxSeeds
-	DefaultMaxK            = server.DefaultMaxK
-	DefaultMaxBatchQueries = server.DefaultMaxBatchQueries
-	// DefaultGreedyBatch is how many stale CELF entries are re-evaluated per
+	// greedyBatch is how many stale CELF entries are re-evaluated per
 	// scatter round: large enough to amortize the RPC, small enough that most
 	// re-evaluations are not wasted on entries that stay buried in the heap.
-	DefaultGreedyBatch = 128
+	// The selection does not depend on it (see internal/core/marginal.go).
+	greedyBatch = 128
 	// DefaultMaxIdleConnsPerHost sizes the pooled transport's per-shard idle
 	// connection pool. net/http's default of 2 would reopen connections on
 	// every concurrent scatter.
 	DefaultMaxIdleConnsPerHost = 32
-	shutdownGrace              = 10 * time.Second
 )
 
 // Config configures a Coordinator. Zero values select defaults; Targets is
@@ -70,28 +65,22 @@ type Config struct {
 	// routes ("" = each shard's default sketch). Named routes
 	// (/v1/sketches/{name}/...) always forward their own name.
 	Sketch string
-	// MaxBodyBytes, MaxSeeds, MaxK and MaxBatchQueries mirror the
-	// server-side limits (defaults as in internal/server).
-	MaxBodyBytes    int64
-	MaxSeeds        int
-	MaxK            int
-	MaxBatchQueries int
-	// GreedyBatch is the number of stale CELF heap entries re-evaluated per
-	// /v1/shard/marginal scatter during seed selection (default
-	// DefaultGreedyBatch).
-	GreedyBatch int
-	// Transport overrides the pooled HTTP transport (tests). Nil builds one
-	// with DefaultMaxIdleConnsPerHost persistent connections per shard.
-	Transport http.RoundTripper
+	// Limits bound request sizes and the serve loop's timeouts exactly as
+	// they do a single process (defaults as in internal/server).
+	server.Limits
 }
 
 // Coordinator fronts a shard fleet. It is stateless beyond its configuration:
-// safe for concurrent use, nothing to invalidate on shard reloads.
+// safe for concurrent use, nothing to invalidate on shard reloads. Its
+// Frontend carries the public query routes, answered by the fleet, and the
+// serve loop.
 type Coordinator struct {
+	*server.Frontend
 	cfg    Config
 	client *http.Client
-	mux    *http.ServeMux
 	start  time.Time
+	// greedyBatch is the greedyBatch constant; tests vary it.
+	greedyBatch int
 }
 
 // New validates cfg, fills in defaults and returns a ready Coordinator.
@@ -105,308 +94,30 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: shard target %q is not an http(s) URL", t)
 		}
 	}
-	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if cfg.MaxSeeds == 0 {
-		cfg.MaxSeeds = DefaultMaxSeeds
-	}
-	if cfg.MaxK == 0 {
-		cfg.MaxK = DefaultMaxK
-	}
-	if cfg.MaxBatchQueries == 0 {
-		cfg.MaxBatchQueries = DefaultMaxBatchQueries
-	}
-	if cfg.GreedyBatch < 1 {
-		cfg.GreedyBatch = DefaultGreedyBatch
-	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = &http.Transport{
+	c := &Coordinator{
+		cfg: cfg,
+		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        DefaultMaxIdleConnsPerHost * len(cfg.Targets),
 			MaxIdleConnsPerHost: DefaultMaxIdleConnsPerHost,
 			IdleConnTimeout:     90 * time.Second,
-		}
+		}},
+		start:       time.Now(),
+		greedyBatch: greedyBatch,
 	}
-	c := &Coordinator{
-		cfg:    cfg,
-		client: &http.Client{Transport: transport},
-		mux:    http.NewServeMux(),
-		start:  time.Now(),
-	}
-	// The public query surface, byte-identical to internal/server.
-	c.mux.HandleFunc("POST /v1/influence", c.handleInfluence)
-	c.mux.HandleFunc("POST /v1/influence:batch", c.handleBatchInfluence)
-	c.mux.HandleFunc("POST /v1/seeds", c.handleSeeds)
-	c.mux.HandleFunc("GET /v1/top", c.handleTop)
-	c.mux.HandleFunc("POST /v1/sketches/{sketch}/influence", c.handleInfluence)
-	c.mux.HandleFunc("POST /v1/sketches/{sketch}/influence:batch", c.handleBatchInfluence)
-	c.mux.HandleFunc("POST /v1/sketches/{sketch}/seeds", c.handleSeeds)
-	c.mux.HandleFunc("GET /v1/sketches/{sketch}/top", c.handleTop)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
+	c.Frontend = server.NewFrontend(cfg.Limits, c.fleetFor)
+	c.HandleFunc("GET /healthz", c.handleHealthz)
 	return c, nil
 }
 
-// Handler returns the coordinator's HTTP handler.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// ListenAndServe serves on addr until ctx is cancelled, then shuts down
-// gracefully, draining in-flight requests for up to shutdownGrace.
-func (c *Coordinator) ListenAndServe(ctx context.Context, addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           c.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       server.DefaultReadTimeout,
-		WriteTimeout:      server.DefaultWriteTimeout,
+// fleetFor is the coordinator's server.Resolver. Every name resolves to the
+// fleet queried under it: the {sketch} path segment on named routes, else
+// the configured fleet-wide name. A name the shards do not hold surfaces as
+// their own 404, passed through by the first scatter.
+func (c *Coordinator) fleetFor(sketch string) (server.Backend, func(), error) {
+	if sketch == "" {
+		sketch = c.cfg.Sketch
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		// ctx is already cancelled on this path: deriving the drain timeout
-		// from it would make Shutdown return immediately and tear down
-		// in-flight requests instead of draining them.
-		//imvet:allow ctxflow — shutdown drain must outlive the cancelled serve ctx; bounded by shutdownGrace
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-		defer cancel()
-		return srv.Shutdown(shutdownCtx)
-	}
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeFleetError maps a scatter failure to the degraded-mode response: an
-// unreachable or erroring shard is a 503 naming the missing target, a
-// misassembled fleet (wrong lineage) a 502 naming the offender.
-func writeFleetError(w http.ResponseWriter, err error) {
-	var se *shardError
-	if errors.As(err, &se) {
-		// A shard answering "sketch not loaded" is a client addressing error,
-		// not a fleet failure: pass the shard's own 404 through verbatim so
-		// unknown-sketch requests read exactly as on a single process.
-		if se.status == http.StatusNotFound && se.shardMsg != "" {
-			writeError(w, http.StatusNotFound, "%s", se.shardMsg)
-			return
-		}
-		if se.unreachable {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-	}
-	writeError(w, http.StatusBadGateway, "%v", err)
-}
-
-// decodeBody strictly decodes a size-limited JSON body into v, mirroring the
-// shard servers' own body handling (same limits, same messages).
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		}
-		return false
-	}
-	return true
-}
-
-// sketchFor resolves which sketch name to query on the shard servers: the
-// {sketch} path segment when present (named routes), else the configured
-// fleet-wide name ("" = each shard's default).
-func (c *Coordinator) sketchFor(r *http.Request) string {
-	if name := r.PathValue("sketch"); name != "" {
-		return name
-	}
-	return c.cfg.Sketch
-}
-
-type influenceRequest struct {
-	Seeds []int `json:"seeds"`
-}
-
-// validateSeedShape is the fleet-independent prefix of
-// server.ValidateInfluenceSeeds — the checks that need no vertex count, with
-// the same messages, applied before anything is scattered. The vertex-range
-// check runs on the shards, whose shared validation echoes the
-// single-process message back per item (itemError).
-func (c *Coordinator) validateSeedShape(seeds []int) string {
-	if len(seeds) == 0 {
-		return "seeds must be non-empty"
-	}
-	if len(seeds) > c.cfg.MaxSeeds {
-		return fmt.Sprintf("too many seeds: %d > %d", len(seeds), c.cfg.MaxSeeds)
-	}
-	return ""
-}
-
-// extendWriteDeadline mirrors the shard servers' deadline reset: scatter
-// rounds can spend a while in flight, so the response write gets a fresh
-// budget instead of whatever the gather left.
-func extendWriteDeadline(w http.ResponseWriter) {
-	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(server.DefaultWriteTimeout))
-}
-
-func (c *Coordinator) handleInfluence(w http.ResponseWriter, r *http.Request) {
-	var req influenceRequest
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	if msg := c.validateSeedShape(req.Seeds); msg != "" {
-		writeError(w, http.StatusBadRequest, "%s", msg)
-		return
-	}
-	fleet, err := c.scatterCoverage(r.Context(), c.sketchFor(r), [][]int{req.Seeds})
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	if msg := fleet.itemError(0); msg != "" {
-		writeError(w, http.StatusBadRequest, "%s", msg)
-		return
-	}
-	writeJSON(w, http.StatusOK, server.InfluenceResponse{
-		Influence: fleet.influence(fleet.counts[0]),
-		CI99:      fleet.ci99(),
-		Seeds:     len(server.CanonicalSeeds(req.Seeds)),
-	})
-}
-
-func (c *Coordinator) handleBatchInfluence(w http.ResponseWriter, r *http.Request) {
-	var reqs []influenceRequest
-	if !c.decodeBody(w, r, &reqs) {
-		return
-	}
-	if len(reqs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch must be a non-empty JSON array of influence requests")
-		return
-	}
-	if len(reqs) > c.cfg.MaxBatchQueries {
-		writeError(w, http.StatusBadRequest, "too many batch queries: %d > %d", len(reqs), c.cfg.MaxBatchQueries)
-		return
-	}
-	// One scatter evaluates every shape-valid item. Dedup by canonical seed
-	// set mirrors the single-process batch handler: repeated queries share
-	// one evaluation and one response object; range-invalid items come back
-	// item-flagged from the shards, so a single bad query never fails the
-	// batch.
-	type pendingQuery struct {
-		items []int
-		seeds []int
-		canon int
-	}
-	items := make([]server.BatchItem, len(reqs))
-	var pending []pendingQuery
-	pendingByKey := make(map[string]int)
-	for i, req := range reqs {
-		if msg := c.validateSeedShape(req.Seeds); msg != "" {
-			items[i].Error = msg
-			continue
-		}
-		canon := server.CanonicalSeeds(req.Seeds)
-		key := make([]byte, 0, len(canon)*4)
-		for _, v := range canon {
-			key = strconv.AppendInt(key, int64(v), 10)
-			key = append(key, ',')
-		}
-		if j, ok := pendingByKey[string(key)]; ok {
-			pending[j].items = append(pending[j].items, i)
-			continue
-		}
-		pendingByKey[string(key)] = len(pending)
-		pending = append(pending, pendingQuery{items: []int{i}, seeds: req.Seeds, canon: len(canon)})
-	}
-	if len(pending) == 0 {
-		writeJSON(w, http.StatusOK, items)
-		return
-	}
-	seedSets := make([][]int, len(pending))
-	for j, p := range pending {
-		seedSets[j] = p.seeds
-	}
-	fleet, err := c.scatterCoverage(r.Context(), c.sketchFor(r), seedSets)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	ci := fleet.ci99()
-	for j, p := range pending {
-		if msg := fleet.itemError(j); msg != "" {
-			for _, i := range p.items {
-				items[i].Error = msg
-			}
-			continue
-		}
-		resp := server.InfluenceResponse{
-			Influence: fleet.influence(fleet.counts[j]),
-			CI99:      ci,
-			Seeds:     p.canon,
-		}
-		for _, i := range p.items {
-			items[i].InfluenceResponse = &resp
-		}
-	}
-	extendWriteDeadline(w)
-	writeJSON(w, http.StatusOK, items)
-}
-
-func (c *Coordinator) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		K int `json:"k"`
-	}
-	if !c.decodeBody(w, r, &req) {
-		return
-	}
-	if req.K < 1 || req.K > c.cfg.MaxK {
-		writeError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", c.cfg.MaxK, req.K)
-		return
-	}
-	resp, err := c.greedySeeds(r.Context(), c.sketchFor(r), req.K)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleTop(w http.ResponseWriter, r *http.Request) {
-	k := min(10, c.cfg.MaxK)
-	if q := r.URL.Query().Get("k"); q != "" {
-		parsed, err := strconv.Atoi(q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid k %q", q)
-			return
-		}
-		k = parsed
-	}
-	if k < 1 || k > c.cfg.MaxK {
-		writeError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", c.cfg.MaxK, k)
-		return
-	}
-	fleet, err := c.scatterMarginal(r.Context(), c.sketchFor(r), nil, nil)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, fleet.topVertices(k))
+	return &fleet{c: c, sketch: sketch}, nil, nil
 }
 
 // healthzTarget is one shard server's slice of the coordinator healthz
@@ -415,7 +126,8 @@ type healthzTarget struct {
 	Target string `json:"target"`
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
-	// Lineage as the shard's healthz reports it (its default sketch).
+	// Lineage and size as the shard's healthz reports them (its default
+	// sketch).
 	ShardIndex *int `json:"shard_index,omitempty"`
 	ShardCount int  `json:"shard_count,omitempty"`
 	TotalSets  int  `json:"total_sets,omitempty"`
@@ -449,26 +161,12 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ht := healthzTarget{Target: target}
-			var shard struct {
-				Status     string `json:"status"`
-				Vertices   int    `json:"vertices"`
-				RRSets     int    `json:"rr_sets"`
-				ShardIndex *int   `json:"shard_index"`
-				ShardCount int    `json:"shard_count"`
-				TotalSets  int    `json:"total_sets"`
+			// The shard's own healthz fields decode straight into its entry.
+			var ht healthzTarget
+			if err := c.shardJSON(r.Context(), http.MethodGet, target, "/healthz", nil, &ht); err != nil {
+				ht = healthzTarget{Status: "unreachable", Error: err.Error()}
 			}
-			if err := c.getJSON(r.Context(), target+"/healthz", &shard); err != nil {
-				ht.Status = "unreachable"
-				ht.Error = err.Error()
-			} else {
-				ht.Status = shard.Status
-				ht.Vertices = shard.Vertices
-				ht.RRSets = shard.RRSets
-				ht.ShardIndex = shard.ShardIndex
-				ht.ShardCount = shard.ShardCount
-				ht.TotalSets = shard.TotalSets
-			}
+			ht.Target = target
 			resp.Targets[i] = ht
 		}()
 	}
@@ -482,5 +180,6 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.RRSets += ht.RRSets
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(resp)
 }

@@ -148,6 +148,15 @@ var equivalenceQueries = []struct {
 	{"top-default", "GET", "/v1/top", ""},
 	{"top-all", "GET", "/v1/top?k=34", ""},
 	{"top-bad-k", "GET", "/v1/top?k=oops", ""},
+	// An id beyond int32 must not be merged with the id it wraps to (5).
+	{"batch-int32-wrap", "POST", "/v1/influence:batch", `[{"seeds":[5]},{"seeds":[4294967301]}]`},
+	// Permutations of one invalid set: each item names its own first bad seed.
+	{"batch-invalid-permuted", "POST", "/v1/influence:batch", `[{"seeds":[99,-1]},{"seeds":[-1,99]}]`},
+	{"influence-unknown-field", "POST", "/v1/influence", `{"seeds":[0],"weights":[1]}`},
+	{"influence-malformed", "POST", "/v1/influence", `{"seeds":[0`},
+	{"batch-empty", "POST", "/v1/influence:batch", `[]`},
+	{"seeds-k-above-max", "POST", "/v1/seeds", `{"k":10001}`},
+	{"top-named", "GET", "/v1/sketches/default/top?k=5", ""},
 }
 
 func runQuery(t testing.TB, base string, q struct{ name, method, path, body string }) (int, []byte) {
@@ -199,7 +208,7 @@ func TestCoordinatorEquivalence(t *testing.T) {
 }
 
 // TestCoordinatorGreedyBatchSizes pins distributed greedy to the single
-// process at several -greedy-batch values: the CELF loop selects the same
+// process at several greedy batch sizes: the CELF loop selects the same
 // sequence however many stale entries each scatter re-evaluates. Requests run
 // concurrently, so the shards' pooled covered state and the coordinator's
 // per-call loop state are exercised by overlapping selections.
@@ -216,8 +225,14 @@ func TestCoordinatorGreedyBatchSizes(t *testing.T) {
 		}
 		want[i] = string(raw)
 	}
-	for _, batch := range []int{1, 3, 0} { // 0 selects DefaultGreedyBatch
-		coord := newCoordinator(t, Config{Targets: targets, GreedyBatch: batch})
+	for _, batch := range []int{1, 3, greedyBatch} {
+		c, err := New(Config{Targets: targets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.greedyBatch = batch
+		coord := httptest.NewServer(c.Handler())
+		t.Cleanup(coord.Close)
 		var wg sync.WaitGroup
 		for i, body := range bodies {
 			wg.Add(1)
@@ -380,6 +395,40 @@ func TestCoordinatorMisassembledFleet(t *testing.T) {
 	}
 }
 
+// TestCoordinatorShardRejectsValidSet points a coordinator at a fleet whose
+// second shard allows fewer seeds per set than the coordinator: that shard's
+// count for an accepted set would be missing from the sum, so the query
+// fails as a 502 naming the shard rather than answering from part of the
+// fleet.
+func TestCoordinatorShardRejectsValidSet(t *testing.T) {
+	path := buildSketchFile(t, diffusion.IC, 2*core.DefaultBatchShardSize, 7)
+	paths, err := sketchio.SplitSketch(path, filepath.Join(t.TempDir(), "fleet"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := sketchio.Decode(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.New(server.Config{Oracle: o, Limits: server.Limits{MaxSeeds: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { narrow.Close(); s.Close() })
+	coord := newCoordinator(t, Config{Targets: []string{serveSketchFile(t, paths[0]).URL, narrow.URL}})
+
+	status, raw := postJSON(t, coord.URL+"/v1/influence:batch", `[{"seeds":[0]},{"seeds":[0,1,2]}]`)
+	if status != http.StatusBadGateway || !strings.Contains(string(raw), narrow.URL) || !strings.Contains(string(raw), "too many seeds") {
+		t.Errorf("narrow shard: status %d: %s, want 502 naming %s and its rejection", status, raw, narrow.URL)
+	}
+}
+
 // TestCoordinatorNamedRoutes exercises the /v1/sketches/{name}/... variants:
 // the coordinator forwards the path's sketch name to the shard fleet, and an
 // unknown name passes the shards' 404 through byte-identically.
@@ -426,7 +475,7 @@ func TestNewConfigValidation(t *testing.T) {
 	if got := c.cfg.Targets[0]; got != "http://127.0.0.1:8080" {
 		t.Errorf("target not normalized: %q", got)
 	}
-	if c.cfg.GreedyBatch != DefaultGreedyBatch || c.cfg.MaxK != DefaultMaxK {
-		t.Errorf("defaults not applied: %+v", c.cfg)
+	if c.greedyBatch != greedyBatch || c.Limits().MaxK != server.DefaultMaxK {
+		t.Errorf("defaults not applied: greedy batch %d, %+v", c.greedyBatch, c.Limits())
 	}
 }

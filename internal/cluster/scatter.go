@@ -13,11 +13,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
 
+	"imdist/internal/core"
 	"imdist/internal/server"
-	"imdist/internal/stats"
 )
 
 // shardError is a scatter failure attributed to one shard target.
@@ -37,8 +36,7 @@ type shardError struct {
 func (e *shardError) Error() string { return fmt.Sprintf("shard target %s: %v", e.target, e.err) }
 func (e *shardError) Unwrap() error { return e.err }
 
-// fleetView is the verified fleet-wide identity of a gather, plus the merge
-// arithmetic every handler shares.
+// fleetView is the verified fleet-wide identity of a gather.
 type fleetView struct {
 	vertices  int
 	model     string
@@ -46,18 +44,11 @@ type fleetView struct {
 	totalSets int
 }
 
-// influence converts a fleet-wide merged RR-set count to influence units —
-// the single float division of the whole distributed computation, the exact
-// expression core.Oracle evaluates on the unsplit sketch. Byte-identity
-// hinges on everything before this line being integer arithmetic.
-func (f fleetView) influence(hits int64) float64 {
-	return float64(f.vertices) * float64(hits) / float64(f.totalSets)
-}
-
-// ci99 is the fleet-wide 99% confidence half-width, as
-// core.Oracle.ConfidenceHalfWidth(2.576) computes it from the RR-set total.
-func (f fleetView) ci99() float64 {
-	return float64(f.vertices) * stats.BinomialCI(0.5, f.totalSets, 2.576)
+// scale is what the fleet's merged counts are divided by: the unsplit
+// sketch's vertex count and RR-set total, so the shared handlers compute
+// the unsplit oracle's floats from the summed integers.
+func (f fleetView) scale() core.Scale {
+	return core.Scale{Vertices: f.vertices, Sets: f.totalSets}
 }
 
 // shardPath builds the request path for a shard primitive against the named
@@ -69,40 +60,15 @@ func shardPath(sketch, kind string) string {
 	return "/v1/sketches/" + url.PathEscape(sketch) + "/shard/" + kind
 }
 
-// postShardJSON posts body to one shard target and decodes the 200 response
-// into out. Any failure — transport, non-200 status, undecodable body — is a
-// *shardError naming the target.
-func (c *Coordinator) postShardJSON(ctx context.Context, target, path string, body, out any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("cluster: encoding shard request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+path, bytes.NewReader(payload))
+// shardJSON sends a request (with a JSON payload, or none) to one shard
+// target and decodes the 200 response into out. Any failure — transport,
+// non-200 status, undecodable body — is a *shardError naming the target.
+func (c *Coordinator) shardJSON(ctx context.Context, method, target, path string, payload []byte, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, target+path, bytes.NewReader(payload))
 	if err != nil {
 		return &shardError{target: target, err: err, unreachable: true}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return c.doShard(target, req, out)
-}
-
-// getJSON fetches url from a shard target and decodes the 200 response.
-func (c *Coordinator) getJSON(ctx context.Context, target string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func (c *Coordinator) doShard(target string, req *http.Request, out any) error {
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return &shardError{target: target, err: err, unreachable: true}
@@ -110,7 +76,9 @@ func (c *Coordinator) doShard(target string, req *http.Request, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg := fmt.Sprintf("status %d", resp.StatusCode)
-		var er errorResponse
+		var er struct {
+			Error string `json:"error"`
+		}
 		if b, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096)); rerr == nil {
 			if json.Unmarshal(b, &er) == nil && er.Error != "" {
 				msg = fmt.Sprintf("status %d: %s", resp.StatusCode, er.Error)
@@ -170,148 +138,89 @@ func verifyFleet(targets []string, ids []server.ShardIdentity) (fleetView, error
 	}, nil
 }
 
-// coverageGather is the merged result of one /v1/shard/coverage scatter:
-// exact fleet-wide coverage counts, one per requested seed set.
-type coverageGather struct {
-	fleetView
-	counts []int64
-	errs   []string // item-parallel validation errors, nil when all valid
-}
-
-// itemError returns the validation error the shards flagged item i with, or
-// "" when the item is valid. The message text is the shards' shared
-// validation — identical to what a single process would have answered.
-func (g *coverageGather) itemError(i int) string {
-	if g.errs == nil {
-		return ""
+// scatter posts body to path on every target concurrently, decodes each 200
+// response into a T, and verifies from the identity echoes that the
+// responses assemble the fleet.
+func scatter[T interface{ Identity() server.ShardIdentity }](ctx context.Context, c *Coordinator, path string, body any) ([]T, fleetView, error) {
+	payload, err := json.Marshal(body)
+	if err != nil {
+		return nil, fleetView{}, fmt.Errorf("cluster: encoding shard request: %w", err)
 	}
-	return g.errs[i]
-}
-
-func (c *Coordinator) scatterCoverage(ctx context.Context, sketch string, seedSets [][]int) (*coverageGather, error) {
-	req := server.ShardCoverageRequest{SeedSets: seedSets}
-	path := shardPath(sketch, "coverage")
-	resps := make([]server.ShardCoverageResponse, len(c.cfg.Targets))
+	resps := make([]T, len(c.cfg.Targets))
 	errs := make([]error, len(c.cfg.Targets))
 	var wg sync.WaitGroup
 	for i, target := range c.cfg.Targets {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = c.postShardJSON(ctx, target, path, req, &resps[i])
+			errs[i] = c.shardJSON(ctx, http.MethodPost, target, path, payload, &resps[i])
 		}()
 	}
 	wg.Wait()
 	ids := make([]server.ShardIdentity, len(resps))
 	for i := range resps {
 		if errs[i] != nil {
-			return nil, errs[i]
+			return nil, fleetView{}, errs[i]
 		}
-		ids[i] = resps[i].ShardIdentity
+		ids[i] = resps[i].Identity()
 	}
-	fleet, err := verifyFleet(c.cfg.Targets, ids)
+	view, err := verifyFleet(c.cfg.Targets, ids)
+	return resps, view, err
+}
+
+// scatterCoverage returns the fleet-wide coverage count of every canonical
+// seed set. Shards reject exactly the sets reaching outside the vertex
+// range, which the query handlers reject themselves; any other rejection is
+// a shard failure, since that shard's count is missing from the sum.
+func (c *Coordinator) scatterCoverage(ctx context.Context, sketch string, seedSets [][]int) ([]int64, fleetView, error) {
+	resps, view, err := scatter[server.ShardCoverageResponse](ctx, c, shardPath(sketch, "coverage"),
+		server.ShardCoverageRequest{SeedSets: seedSets})
 	if err != nil {
-		return nil, err
+		return nil, view, err
 	}
-	g := &coverageGather{fleetView: fleet, counts: make([]int64, len(seedSets))}
-	for i := range resps {
-		if len(resps[i].Counts) != len(seedSets) {
-			return nil, &shardError{target: c.cfg.Targets[i],
-				err: fmt.Errorf("returned %d counts for %d seed sets", len(resps[i].Counts), len(seedSets))}
+	counts := make([]int64, len(seedSets))
+	for i, resp := range resps {
+		if len(resp.Counts) != len(seedSets) || len(resp.Errors) > len(seedSets) {
+			return nil, view, &shardError{target: c.cfg.Targets[i],
+				err: fmt.Errorf("returned %d counts and %d errors for %d seed sets", len(resp.Counts), len(resp.Errors), len(seedSets))}
 		}
-		for j, n := range resps[i].Counts {
-			g.counts[j] += n
+		for j, n := range resp.Counts {
+			counts[j] += n
 		}
-		if resps[i].Errors == nil {
-			continue
-		}
-		if g.errs == nil {
-			g.errs = make([]string, len(seedSets))
-		}
-		for j, msg := range resps[i].Errors {
-			if g.errs[j] == "" {
-				g.errs[j] = msg
+		for j, msg := range resp.Errors {
+			s := seedSets[j]
+			outside := len(s) > 0 && (s[0] < 0 || s[len(s)-1] >= view.vertices)
+			if msg != "" && !outside {
+				return nil, view, &shardError{target: c.cfg.Targets[i],
+					err: fmt.Errorf("rejected seed set %v: %s", s, msg)}
 			}
 		}
 	}
-	return g, nil
+	return counts, view, nil
 }
 
-// marginalGather is the merged result of one /v1/shard/marginal scatter:
-// exact fleet-wide marginal gains, one per candidate (every vertex in
-// ascending id order when candidates was nil).
-type marginalGather struct {
-	fleetView
-	gains []int64
-}
-
-func (c *Coordinator) scatterMarginal(ctx context.Context, sketch string, seeds, candidates []int) (*marginalGather, error) {
-	req := server.ShardMarginalRequest{Seeds: seeds, Candidates: candidates}
-	path := shardPath(sketch, "marginal")
-	resps := make([]server.ShardMarginalResponse, len(c.cfg.Targets))
-	errs := make([]error, len(c.cfg.Targets))
-	var wg sync.WaitGroup
-	for i, target := range c.cfg.Targets {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = c.postShardJSON(ctx, target, path, req, &resps[i])
-		}()
-	}
-	wg.Wait()
-	ids := make([]server.ShardIdentity, len(resps))
-	for i := range resps {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		ids[i] = resps[i].ShardIdentity
-	}
-	fleet, err := verifyFleet(c.cfg.Targets, ids)
+// scatterMarginal returns the fleet-wide marginal gain of every candidate
+// on top of seeds (every vertex in ascending id order when candidates is
+// nil).
+func (c *Coordinator) scatterMarginal(ctx context.Context, sketch string, seeds, candidates []int) ([]int64, fleetView, error) {
+	resps, view, err := scatter[server.ShardMarginalResponse](ctx, c, shardPath(sketch, "marginal"),
+		server.ShardMarginalRequest{Seeds: seeds, Candidates: candidates})
 	if err != nil {
-		return nil, err
+		return nil, view, err
 	}
-	wantLen := len(candidates)
+	want := len(candidates)
 	if candidates == nil {
-		wantLen = fleet.vertices
+		want = view.vertices
 	}
-	g := &marginalGather{fleetView: fleet, gains: make([]int64, wantLen)}
-	for i := range resps {
-		if len(resps[i].Gains) != wantLen {
-			return nil, &shardError{target: c.cfg.Targets[i],
-				err: fmt.Errorf("returned %d gains for %d candidates", len(resps[i].Gains), wantLen)}
+	gains := make([]int64, want)
+	for i, resp := range resps {
+		if len(resp.Gains) != want {
+			return nil, view, &shardError{target: c.cfg.Targets[i],
+				err: fmt.Errorf("returned %d gains for %d candidates", len(resp.Gains), want)}
 		}
-		for j, n := range resps[i].Gains {
-			g.gains[j] += n
+		for j, n := range resp.Gains {
+			gains[j] += n
 		}
 	}
-	return g, nil
-}
-
-// topVertices ranks an all-vertex gather exactly as
-// core.Oracle.TopSingleVertices ranks the unsplit sketch: influence
-// non-increasing, ties broken by ascending vertex id.
-func (g *marginalGather) topVertices(k int) server.TopResponse {
-	type pair struct {
-		v   int
-		inf float64
-	}
-	pairs := make([]pair, len(g.gains))
-	for v, cnt := range g.gains {
-		pairs[v] = pair{v, g.influence(cnt)}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].inf != pairs[j].inf {
-			return pairs[i].inf > pairs[j].inf
-		}
-		return pairs[i].v < pairs[j].v
-	})
-	if k > len(pairs) {
-		k = len(pairs)
-	}
-	resp := server.TopResponse{Vertices: make([]int, k), Influences: make([]float64, k)}
-	for i := 0; i < k; i++ {
-		resp.Vertices[i] = pairs[i].v
-		resp.Influences[i] = pairs[i].inf
-	}
-	return resp
+	return gains, view, nil
 }

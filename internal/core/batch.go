@@ -53,7 +53,7 @@ func (o *Oracle) batchInfluence(seedSets [][]graph.VertexID, workers, shardSize 
 		if errs[q] != nil {
 			continue
 		}
-		values[q] = float64(o.n) * float64(counts[q]) / float64(o.numSets)
+		values[q] = o.CoverageInfluence(counts[q])
 	}
 	return values, errs
 }

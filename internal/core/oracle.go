@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -350,12 +351,34 @@ func (o *Oracle) influenceOf(seeds []graph.VertexID) float64 {
 	return o.CoverageInfluence(o.coverageOf(seeds))
 }
 
-// CoverageInfluence converts a coverage count (Coverage, GreedyCoverage) to
-// the oracle's influence estimate n·hits/R — the one float expression every
-// influence answer is computed with.
-func (o *Oracle) CoverageInfluence(hits int64) float64 {
-	return float64(o.n) * float64(hits) / float64(o.numSets)
+// Scale is what exact coverage counts are divided by: estimates over Sets RR
+// sets of a graph with Vertices vertices. A shard fleet's Scale is the
+// unsplit sketch's (fleet-wide TotalSets), so its summed counts convert to
+// the same floats.
+type Scale struct {
+	Vertices int
+	Sets     int
 }
+
+// Influence converts a coverage count to the influence estimate n·hits/R —
+// the one float expression every influence answer is computed with.
+func (s Scale) Influence(hits int64) float64 {
+	return float64(s.Vertices) * float64(hits) / float64(s.Sets)
+}
+
+// HalfWidth returns the half-width of the normal-approximation confidence
+// interval of an estimate at the given z value (2.576 for 99%), using the
+// conservative p = 1/2 variance bound the paper quotes (±1.29·n/√R at 99%).
+func (s Scale) HalfWidth(z float64) float64 {
+	return float64(s.Vertices) * stats.BinomialCI(0.5, s.Sets, z)
+}
+
+// Scale returns the oracle's (n, R).
+func (o *Oracle) Scale() Scale { return Scale{Vertices: o.n, Sets: o.numSets} }
+
+// CoverageInfluence converts a coverage count (Coverage, GreedyCoverage) to
+// the oracle's influence estimate; see Scale.Influence.
+func (o *Oracle) CoverageInfluence(hits int64) float64 { return o.Scale().Influence(hits) }
 
 // Coverage returns the raw coverage count of the seed set: the exact number
 // of the oracle's RR sets that intersect S. This is the per-shard primitive
@@ -397,13 +420,9 @@ func (o *Oracle) coverageOf(seeds []graph.VertexID) int64 {
 	return hit
 }
 
-// ConfidenceHalfWidth returns the half-width of the normal-approximation
-// confidence interval of an oracle estimate at the given z value (2.576 for
-// 99%), using the conservative p = 1/2 variance bound the paper quotes
-// (±1.29·n/√R at 99%).
-func (o *Oracle) ConfidenceHalfWidth(z float64) float64 {
-	return float64(o.n) * stats.BinomialCI(0.5, o.numSets, z)
-}
+// ConfidenceHalfWidth returns the half-width of the confidence interval of
+// an oracle estimate at the given z value; see Scale.HalfWidth.
+func (o *Oracle) ConfidenceHalfWidth(z float64) float64 { return o.Scale().HalfWidth(z) }
 
 // GreedySeeds runs greedy maximum coverage directly on the oracle's RR sets
 // and returns the resulting seed set; k is clamped to the vertex count. The
@@ -426,42 +445,58 @@ func (o *Oracle) GreedyCoverage(k int) ([]graph.VertexID, int64) {
 	if k < 1 {
 		return nil, 0
 	}
-	initial := make([]int64, o.n)
-	for v, sets := range o.memberOf {
-		initial[v] = int64(len(sets))
-	}
 	c := o.getCover()
-	seeds, covered, _ := CELF(k, initial, 1, c.marginal) // the local primitive never fails
+	seeds, covered, _ := CELF(k, o.VertexCoverage(), 1, c.marginal) // the local primitive never fails
 	o.putCover(c)
 	return seeds, covered
+}
+
+// VertexCoverage returns every vertex's single-vertex coverage count (the
+// number of RR sets containing it), indexed by vertex id.
+func (o *Oracle) VertexCoverage() []int64 {
+	counts := make([]int64, o.n)
+	for v, sets := range o.memberOf {
+		counts[v] = int64(len(sets))
+	}
+	return counts
 }
 
 // TopSingleVertices returns the topK vertices ranked by single-vertex oracle
 // influence in non-increasing order, together with their influences. This is
 // the quantity Table 4 reports. topK <= 0 returns all vertices.
 func (o *Oracle) TopSingleVertices(topK int) ([]graph.VertexID, []float64) {
-	type pair struct {
-		v   graph.VertexID
-		inf float64
-	}
-	pairs := make([]pair, o.n)
-	for v := 0; v < o.n; v++ {
-		pairs[v] = pair{graph.VertexID(v), o.influenceOf([]graph.VertexID{graph.VertexID(v)})}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].inf != pairs[j].inf {
-			return pairs[i].inf > pairs[j].inf
-		}
-		return pairs[i].v < pairs[j].v
-	})
-	if topK <= 0 || topK > o.n {
-		topK = o.n
-	}
-	vs := make([]graph.VertexID, topK)
-	infs := make([]float64, topK)
-	for i := 0; i < topK; i++ {
-		vs[i] = pairs[i].v
-		infs[i] = pairs[i].inf
+	vs, counts := TopVertices(o.VertexCoverage(), topK)
+	infs := make([]float64, len(vs))
+	for i, c := range counts {
+		infs[i] = o.CoverageInfluence(c)
 	}
 	return vs, infs
+}
+
+// TopVertices ranks vertices by exact coverage count — counts[v] non-
+// increasing, ties broken by ascending vertex id — and returns the first k
+// (all of them when k <= 0 or k > len(counts)) with their counts. Influence
+// is a strictly increasing function of the count at a fixed Scale, so this
+// is also the ranking by influence, for one sketch and for a shard fleet's
+// summed counts alike.
+func TopVertices(counts []int64, k int) ([]graph.VertexID, []int64) {
+	vs := make([]graph.VertexID, len(counts))
+	for v := range vs {
+		vs[v] = graph.VertexID(v)
+	}
+	sort.Slice(vs, func(i, j int) bool {
+		a, b := vs[i], vs[j]
+		if counts[a] != counts[b] {
+			return counts[a] > counts[b]
+		}
+		return a < b
+	})
+	if k > 0 && k < len(vs) {
+		vs = slices.Clone(vs[:k])
+	}
+	top := make([]int64, len(vs))
+	for i, v := range vs {
+		top[i] = counts[v]
+	}
+	return vs, top
 }

@@ -51,19 +51,22 @@ type sketchEntry struct {
 	// single-flight joins); /v1/sketches reports it, and the stampede
 	// regression test asserts it stays at 1 under concurrent identical load.
 	seedRuns atomic.Uint64
+	// batchWorkers is the batch engine's worker count for BatchCoverage.
+	batchWorkers int
 }
 
-func newSketchEntry(name string, oracle *core.Oracle, mapped *sketchio.MappedSketch, source string, cacheSize int) *sketchEntry {
+func (r *Registry) newSketchEntry(name string, oracle *core.Oracle, mapped *sketchio.MappedSketch, source string) *sketchEntry {
 	return &sketchEntry{
 		name:   name,
 		oracle: oracle,
-		cache:  newLRUCache(cacheSize),
+		cache:  newLRUCache(r.cacheSize),
 		flight: newFlightGroup(),
 		keyPrefix: fmt.Sprintf("%s|%s|%d|%d|%d|", name,
 			oracle.Model(), oracle.BuildSeed(), oracle.NumVertices(), oracle.NumSets()),
-		source:   source,
-		loadedAt: time.Now(),
-		mapped:   mapped,
+		source:       source,
+		loadedAt:     time.Now(),
+		mapped:       mapped,
+		batchWorkers: r.batchWorkers,
 	}
 }
 
@@ -103,6 +106,9 @@ type Registry struct {
 	entries     map[string]*sketchEntry
 	defaultName string
 	cacheSize   int
+	// batchWorkers is handed to every entry's batch engine; server.New sets
+	// it from Config.BatchWorkers before the first registration.
+	batchWorkers int
 	// kernel is applied to every oracle that enters the registry (Register
 	// and LoadFile), so one server-level knob governs all sketches uniformly.
 	kernel core.Kernel
@@ -176,7 +182,7 @@ func (r *Registry) Register(name string, oracle *core.Oracle) error {
 		return err
 	}
 	r.applyKernel(oracle)
-	r.swap(newSketchEntry(name, oracle, nil, "", r.cacheSize))
+	r.swap(r.newSketchEntry(name, oracle, nil, ""))
 	return nil
 }
 
@@ -193,7 +199,7 @@ func (r *Registry) LoadFile(name, path string) error {
 		return fmt.Errorf("loading sketch %q from %s: %w", name, path, err)
 	}
 	r.applyKernel(m.Oracle())
-	r.swap(newSketchEntry(name, m.Oracle(), m, path, r.cacheSize))
+	r.swap(r.newSketchEntry(name, m.Oracle(), m, path))
 	return nil
 }
 
@@ -329,7 +335,6 @@ type flightGroup struct {
 type flightCall struct {
 	done chan struct{}
 	val  any
-	err  error
 }
 
 func newFlightGroup() *flightGroup {
@@ -337,23 +342,23 @@ func newFlightGroup() *flightGroup {
 }
 
 // Do runs fn once per key among concurrent callers: the first caller
-// executes, the rest block and share its return values.
-func (g *flightGroup) Do(key string, fn func() (any, error)) (any, error) {
+// executes, the rest block and share its return value.
+func (g *flightGroup) Do(key string, fn func() any) any {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
 		<-c.done
-		return c.val, c.err
+		return c.val
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.calls[key] = c
 	g.mu.Unlock()
 
-	c.val, c.err = fn()
+	c.val = fn()
 	close(c.done)
 
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
-	return c.val, c.err
+	return c.val
 }

@@ -552,31 +552,6 @@ func TestConcurrentMixedSketchesWithReload(t *testing.T) {
 	reloads.Wait()
 }
 
-func TestTimeoutConfig(t *testing.T) {
-	oracle := testOracle(t, diffusion.IC, 1000, 1)
-	cases := []struct {
-		name         string
-		read, write  time.Duration
-		wantR, wantW time.Duration
-	}{
-		{"defaults", 0, 0, DefaultReadTimeout, DefaultWriteTimeout},
-		{"explicit", 10 * time.Second, 3 * time.Minute, 10 * time.Second, 3 * time.Minute},
-		{"disabled", -1, -1, 0, 0},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			s, err := New(Config{Oracle: oracle, ReadTimeout: c.read, WriteTimeout: c.write})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs := s.httpServer(":0")
-			if hs.ReadTimeout != c.wantR || hs.WriteTimeout != c.wantW {
-				t.Errorf("timeouts = %v/%v, want %v/%v", hs.ReadTimeout, hs.WriteTimeout, c.wantR, c.wantW)
-			}
-		})
-	}
-}
-
 func TestRegistryRejectsBadNames(t *testing.T) {
 	oracle := testOracle(t, diffusion.IC, 1000, 1)
 	r := NewRegistry(16)

@@ -20,6 +20,10 @@
 // POST /v1/seeds, GET /v1/top) alias a configurable default sketch, so
 // single-sketch clients keep working unchanged.
 //
+// The four query routes are one handler set (Frontend, api.go) written
+// against the Backend interface: a registry entry answers them here, and
+// the cluster coordinator serves the same handlers over a shard fleet.
+//
 // Reloads are copy-on-swap: a replacement sketch becomes visible atomically,
 // queries already in flight finish on the oracle they started with, and a
 // memory-mapped sketch is unmapped only after its last query releases its
@@ -36,18 +40,14 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"imdist/internal/core"
-	"imdist/internal/graph"
 )
 
 // Defaults for Config zero values.
@@ -89,16 +89,8 @@ type Config struct {
 	// CacheSize is the maximum number of memoized query results per sketch
 	// (default DefaultCacheSize; negative disables caching).
 	CacheSize int
-	// MaxBodyBytes limits request body sizes (default DefaultMaxBodyBytes).
-	MaxBodyBytes int64
-	// MaxSeeds limits the seed-set size of /v1/influence requests
-	// (default DefaultMaxSeeds).
-	MaxSeeds int
-	// MaxK limits k for /v1/seeds and /v1/top (default DefaultMaxK).
-	MaxK int
-	// MaxBatchQueries limits the number of items per /v1/influence:batch
-	// request (default DefaultMaxBatchQueries).
-	MaxBatchQueries int
+	// Limits bound request sizes and the serve loop's timeouts.
+	Limits
 	// BatchWorkers is the worker count handed to the oracle's sharded batch
 	// engine for each /v1/influence:batch request. The zero value selects one
 	// worker per CPU; 1 evaluates batches on the request goroutine.
@@ -108,15 +100,6 @@ type Config struct {
 	// "epoch", "bitpack", or "auto" (the default; "" means auto). Kernels
 	// change only query speed, never answers (see core.Kernel).
 	Kernel string
-	// ReadTimeout and WriteTimeout bound the HTTP request read and response
-	// write of ListenAndServe's server. Zero selects DefaultReadTimeout /
-	// DefaultWriteTimeout; negative disables the limit entirely (trusted
-	// networks with arbitrarily slow clients).
-	ReadTimeout time.Duration
-	// WriteTimeout: see ReadTimeout. The batch handler additionally resets
-	// the write deadline after evaluation, so the configured budget applies
-	// to writing the response rather than being consumed by computation.
-	WriteTimeout time.Duration
 	// BuildConcurrency is how many async sketch builds (/v1/admin/builds)
 	// run at once (default DefaultBuildConcurrency).
 	BuildConcurrency int
@@ -128,12 +111,13 @@ type Config struct {
 	MaxBuildSets int
 }
 
-// Server answers oracle queries over HTTP.
+// Server answers oracle queries over HTTP. Its Frontend carries the public
+// query routes, answered by registry entries, and the serve loop.
 type Server struct {
+	*Frontend
 	registry *Registry
 	builds   *buildManager
 	cfg      Config
-	mux      *http.ServeMux
 	start    time.Time
 
 	closeOnce sync.Once
@@ -147,32 +131,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = DefaultCacheSize
 	}
-	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if cfg.MaxSeeds == 0 {
-		cfg.MaxSeeds = DefaultMaxSeeds
-	}
-	if cfg.MaxK == 0 {
-		cfg.MaxK = DefaultMaxK
-	}
-	if cfg.MaxBatchQueries == 0 {
-		cfg.MaxBatchQueries = DefaultMaxBatchQueries
-	}
 	if cfg.BatchWorkers == 0 {
 		cfg.BatchWorkers = -1
-	}
-	switch {
-	case cfg.ReadTimeout == 0:
-		cfg.ReadTimeout = DefaultReadTimeout
-	case cfg.ReadTimeout < 0:
-		cfg.ReadTimeout = 0
-	}
-	switch {
-	case cfg.WriteTimeout == 0:
-		cfg.WriteTimeout = DefaultWriteTimeout
-	case cfg.WriteTimeout < 0:
-		cfg.WriteTimeout = 0
 	}
 	if cfg.BuildConcurrency < 1 {
 		cfg.BuildConcurrency = DefaultBuildConcurrency
@@ -191,10 +151,11 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		registry: NewRegistry(cfg.CacheSize),
 		cfg:      cfg,
-		mux:      http.NewServeMux(),
 		start:    time.Now(),
 	}
+	s.Frontend = NewFrontend(cfg.Limits, s.sketchBackend)
 	s.registry.SetKernel(kernel)
+	s.registry.batchWorkers = cfg.BatchWorkers
 	s.builds = newBuildManager(s.registry, cfg.BuildConcurrency, cfg.MaxQueuedBuilds, cfg.MaxBuildSets)
 	if cfg.Oracle != nil {
 		name := cfg.DefaultSketch
@@ -223,33 +184,23 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// Legacy unnamed routes alias the default sketch.
-	s.mux.HandleFunc("POST /v1/influence", s.handleInfluence)
-	s.mux.HandleFunc("POST /v1/influence:batch", s.handleBatchInfluence)
-	s.mux.HandleFunc("POST /v1/seeds", s.handleSeeds)
-	s.mux.HandleFunc("GET /v1/top", s.handleTop)
-	// Named per-sketch routes.
-	s.mux.HandleFunc("POST /v1/sketches/{sketch}/influence", s.handleInfluence)
-	s.mux.HandleFunc("POST /v1/sketches/{sketch}/influence:batch", s.handleBatchInfluence)
-	s.mux.HandleFunc("POST /v1/sketches/{sketch}/seeds", s.handleSeeds)
-	s.mux.HandleFunc("GET /v1/sketches/{sketch}/top", s.handleTop)
 	// Shard-fleet primitives: raw merge-able integer counts for the cluster
 	// coordinator (internal/cluster).
-	s.mux.HandleFunc("POST /v1/shard/coverage", s.handleShardCoverage)
-	s.mux.HandleFunc("POST /v1/shard/marginal", s.handleShardMarginal)
-	s.mux.HandleFunc("POST /v1/sketches/{sketch}/shard/coverage", s.handleShardCoverage)
-	s.mux.HandleFunc("POST /v1/sketches/{sketch}/shard/marginal", s.handleShardMarginal)
+	s.HandleFunc("POST /v1/shard/coverage", s.handleShardCoverage)
+	s.HandleFunc("POST /v1/shard/marginal", s.handleShardMarginal)
+	s.HandleFunc("POST /v1/sketches/{sketch}/shard/coverage", s.handleShardCoverage)
+	s.HandleFunc("POST /v1/sketches/{sketch}/shard/marginal", s.handleShardMarginal)
 	// Registry introspection and administration.
-	s.mux.HandleFunc("GET /v1/sketches", s.handleListSketches)
-	s.mux.HandleFunc("POST /v1/admin/sketches", s.handleAdminLoad)
-	s.mux.HandleFunc("DELETE /v1/admin/sketches/{sketch}", s.handleAdminUnload)
+	s.HandleFunc("GET /v1/sketches", s.handleListSketches)
+	s.HandleFunc("POST /v1/admin/sketches", s.handleAdminLoad)
+	s.HandleFunc("DELETE /v1/admin/sketches/{sketch}", s.handleAdminUnload)
 	// Async build service: submit, observe and cancel server-side sketch
 	// builds whose results land in the registry.
-	s.mux.HandleFunc("POST /v1/admin/builds", s.handleBuildSubmit)
-	s.mux.HandleFunc("GET /v1/admin/builds", s.handleBuildList)
-	s.mux.HandleFunc("GET /v1/admin/builds/{build}", s.handleBuildGet)
-	s.mux.HandleFunc("DELETE /v1/admin/builds/{build}", s.handleBuildCancel)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.HandleFunc("POST /v1/admin/builds", s.handleBuildSubmit)
+	s.HandleFunc("GET /v1/admin/builds", s.handleBuildList)
+	s.HandleFunc("GET /v1/admin/builds/{build}", s.handleBuildGet)
+	s.HandleFunc("DELETE /v1/admin/builds/{build}", s.handleBuildCancel)
+	s.HandleFunc("GET /healthz", s.handleHealthz)
 	return s, nil
 }
 
@@ -266,406 +217,46 @@ func (s *Server) Close() {
 // rescan drives this).
 func (s *Server) Registry() *Registry { return s.registry }
 
-// Handler returns the server's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// httpServer builds the net/http server ListenAndServe runs, applying the
-// configured timeouts (already normalized by New).
-func (s *Server) httpServer(addr string) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       s.cfg.ReadTimeout,
-		WriteTimeout:      s.cfg.WriteTimeout,
-	}
-}
-
-// ListenAndServe serves on addr until ctx is cancelled, then shuts down
-// gracefully, draining in-flight requests for up to shutdownGrace.
+// ListenAndServe runs the shared serve loop (Frontend.ListenAndServe) on
+// addr until ctx is cancelled, then closes the server.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	srv := s.httpServer(addr)
 	defer s.Close()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		// ctx is already cancelled on this path: deriving the drain timeout
-		// from it would make Shutdown return immediately and tear down
-		// in-flight requests instead of draining them.
-		//imvet:allow ctxflow — shutdown drain must outlive the cancelled serve ctx; bounded by shutdownGrace
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-		defer cancel()
-		return srv.Shutdown(shutdownCtx)
+	return s.Frontend.ListenAndServe(ctx, addr)
+}
+
+// acquire resolves a sketch name ("" = the default sketch) and takes a query
+// reference on its entry; the caller must release() it when done. A sketch
+// that is not loaded is a 404 *StatusError.
+func (s *Server) acquire(name string) (*sketchEntry, error) {
+	if e, ok := s.registry.acquire(name); ok {
+		return e, nil
 	}
+	if name == "" {
+		return nil, &StatusError{http.StatusNotFound, fmt.Sprintf("no default sketch loaded (default %q)", s.registry.DefaultName())}
+	}
+	return nil, &StatusError{http.StatusNotFound, fmt.Sprintf("sketch %q not loaded", name)}
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
+// sketchBackend is the server's Resolver: the named registry entry answers
+// the public queries.
+func (s *Server) sketchBackend(name string) (Backend, func(), error) {
+	e, err := s.acquire(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, e.release, nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// entryFor resolves the request's sketch ({sketch} path segment, or the
-// default for legacy unnamed routes) and takes a query reference on it; on
-// success the caller must release() it when done. On failure a 404 has been
-// written.
+// entryFor resolves the request's sketch for the shard endpoints and takes a
+// query reference on it; on success the caller must release() it when done.
+// On failure a 404 has been written.
 func (s *Server) entryFor(w http.ResponseWriter, r *http.Request) (*sketchEntry, bool) {
-	name := r.PathValue("sketch")
-	e, ok := s.registry.acquire(name)
-	if !ok {
-		if name == "" {
-			writeError(w, http.StatusNotFound, "no default sketch loaded (default %q)", s.registry.DefaultName())
-		} else {
-			writeError(w, http.StatusNotFound, "sketch %q not loaded", name)
-		}
+	e, err := s.acquire(r.PathValue("sketch"))
+	if err != nil {
+		writeStatusError(w, err)
 		return nil, false
 	}
 	return e, true
-}
-
-// extendWriteDeadline restarts the response write budget. net/http's
-// WriteTimeout clock starts when the request is read, so a slow evaluation
-// would otherwise eat the whole budget and cut large responses mid-stream;
-// resetting after evaluation makes the configured timeout bound the write
-// itself, which is the documented meaning of Config.WriteTimeout.
-func (s *Server) extendWriteDeadline(w http.ResponseWriter) {
-	if s.cfg.WriteTimeout > 0 {
-		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	}
-}
-
-// decodeBody strictly decodes a size-limited JSON body into v.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		}
-		return false
-	}
-	return true
-}
-
-// CanonicalSeeds sorts and deduplicates seeds so equivalent seed sets share
-// one cache entry and one oracle evaluation.
-func CanonicalSeeds(seeds []int) []graph.VertexID {
-	out := make([]graph.VertexID, len(seeds))
-	for i, v := range seeds {
-		out[i] = graph.VertexID(v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
-}
-
-// seedsKey renders a canonical seed set as the sketch-local part of a cache
-// key; the sketch identity prefix is prepended by the caller.
-func seedsKey(seeds []graph.VertexID) string {
-	var b strings.Builder
-	b.Grow(len(seeds)*8 + 2)
-	b.WriteString("s:")
-	for i, v := range seeds {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(int(v)))
-	}
-	return b.String()
-}
-
-type influenceRequest struct {
-	Seeds []int `json:"seeds"`
-}
-
-// InfluenceResponse is the body of a /v1/influence answer. It is exported so
-// the cluster coordinator can produce byte-identical responses.
-type InfluenceResponse struct {
-	Influence float64 `json:"influence"`
-	CI99      float64 `json:"ci99"`
-	Seeds     int     `json:"seeds"`
-}
-
-// validateInfluenceSeeds checks an influence request's seed list against the
-// server's limits and the oracle's vertex range; it returns a user-facing
-// error message, or "" when the request is valid. Shared by the single and
-// batch influence handlers so both reject exactly the same inputs.
-func (s *Server) validateInfluenceSeeds(oracle *core.Oracle, seeds []int) string {
-	return ValidateInfluenceSeeds(seeds, s.cfg.MaxSeeds, oracle.NumVertices())
-}
-
-// ValidateInfluenceSeeds is the influence-request seed validation shared with
-// the cluster coordinator, which must reject exactly the same inputs with
-// exactly the same messages to stay byte-identical to a single process.
-func ValidateInfluenceSeeds(seeds []int, maxSeeds, numVertices int) string {
-	if len(seeds) == 0 {
-		return "seeds must be non-empty"
-	}
-	if len(seeds) > maxSeeds {
-		return fmt.Sprintf("too many seeds: %d > %d", len(seeds), maxSeeds)
-	}
-	for _, v := range seeds {
-		// Reject before the int32 conversion in CanonicalSeeds can wrap.
-		if v < 0 || v >= numVertices {
-			return fmt.Sprintf("seed vertex %d not in [0, %d)", v, numVertices)
-		}
-	}
-	return ""
-}
-
-func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	defer e.release()
-	var req influenceRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if msg := s.validateInfluenceSeeds(e.oracle, req.Seeds); msg != "" {
-		writeError(w, http.StatusBadRequest, "%s", msg)
-		return
-	}
-	seeds := CanonicalSeeds(req.Seeds)
-	key := e.keyPrefix + seedsKey(seeds)
-	if v, ok := e.cache.Get(key); ok {
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	inf, err := e.oracle.Influence(seeds)
-	if err != nil {
-		// Unreachable after the range check above, but the oracle's own
-		// validation is the final authority.
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	resp := InfluenceResponse{
-		Influence: inf,
-		CI99:      e.oracle.ConfidenceHalfWidth(2.576),
-		Seeds:     len(seeds),
-	}
-	e.cache.Put(key, resp)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// BatchItem is one element of a /v1/influence:batch response. A valid item
-// carries the same fields as a /v1/influence response; an invalid one carries
-// only an error message, so a single bad query never fails the whole batch.
-// Repeated queries in one batch share a single *InfluenceResponse, which
-// encodes identically either way.
-type BatchItem struct {
-	*InfluenceResponse
-	Error string `json:"error,omitempty"`
-}
-
-func (s *Server) handleBatchInfluence(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	defer e.release()
-	var reqs []influenceRequest
-	if !s.decodeBody(w, r, &reqs) {
-		return
-	}
-	if len(reqs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch must be a non-empty JSON array of influence requests")
-		return
-	}
-	if len(reqs) > s.cfg.MaxBatchQueries {
-		writeError(w, http.StatusBadRequest, "too many batch queries: %d > %d", len(reqs), s.cfg.MaxBatchQueries)
-		return
-	}
-	items := make([]BatchItem, len(reqs))
-	// Resolve each item against the sketch's LRU first (batch and single
-	// requests use the same canonical cache keys), collecting the misses —
-	// deduplicated by canonical key, so a batch of repeated hotspot queries
-	// costs one engine evaluation per distinct seed set — for one pass
-	// through the sharded batch engine.
-	type pendingQuery struct {
-		items []int
-		key   string
-		seeds []graph.VertexID
-	}
-	var pending []pendingQuery
-	pendingByKey := make(map[string]int)
-	for i, req := range reqs {
-		if msg := s.validateInfluenceSeeds(e.oracle, req.Seeds); msg != "" {
-			items[i].Error = msg
-			continue
-		}
-		seeds := CanonicalSeeds(req.Seeds)
-		key := e.keyPrefix + seedsKey(seeds)
-		if j, ok := pendingByKey[key]; ok {
-			pending[j].items = append(pending[j].items, i)
-			continue
-		}
-		if v, ok := e.cache.Get(key); ok {
-			resp := v.(InfluenceResponse)
-			items[i].InfluenceResponse = &resp
-			continue
-		}
-		pendingByKey[key] = len(pending)
-		pending = append(pending, pendingQuery{items: []int{i}, key: key, seeds: seeds})
-	}
-	if len(pending) > 0 {
-		seedSets := make([][]graph.VertexID, len(pending))
-		for j, p := range pending {
-			seedSets[j] = p.seeds
-		}
-		values, errs := e.oracle.BatchInfluence(seedSets, s.cfg.BatchWorkers)
-		ci := e.oracle.ConfidenceHalfWidth(2.576)
-		for j, p := range pending {
-			if errs[j] != nil {
-				// Unreachable after validateInfluenceSeeds, but the oracle's
-				// own validation is the final authority.
-				for _, i := range p.items {
-					items[i].Error = errs[j].Error()
-				}
-				continue
-			}
-			resp := InfluenceResponse{Influence: values[j], CI99: ci, Seeds: len(p.seeds)}
-			e.cache.Put(p.key, resp)
-			for _, i := range p.items {
-				items[i].InfluenceResponse = &resp
-			}
-		}
-	}
-	// Large batches can spend a while in the engine; give the response write
-	// its full configured budget instead of whatever the evaluation left.
-	s.extendWriteDeadline(w)
-	writeJSON(w, http.StatusOK, items)
-}
-
-type seedsRequest struct {
-	K int `json:"k"`
-}
-
-// SeedsResponse is the body of a /v1/seeds answer (exported for the cluster
-// coordinator).
-type SeedsResponse struct {
-	Seeds     []int   `json:"seeds"`
-	Influence float64 `json:"influence"`
-}
-
-func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	defer e.release()
-	var req seedsRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if req.K < 1 || req.K > s.cfg.MaxK {
-		writeError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", s.cfg.MaxK, req.K)
-		return
-	}
-	key := e.keyPrefix + "g:" + strconv.Itoa(req.K)
-	if v, ok := e.cache.Get(key); ok {
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	// Single-flight the greedy run: N concurrent cold-cache requests for the
-	// same (sketch, k) compute once and share the result instead of each
-	// running GreedySeeds (the cache stampede this endpoint used to have).
-	v, err := e.flight.Do(key, func() (any, error) {
-		if v, ok := e.cache.Get(key); ok {
-			return v, nil
-		}
-		e.seedRuns.Add(1)
-		seeds, covered := e.oracle.GreedyCoverage(req.K)
-		out := make([]int, len(seeds))
-		for i, v := range seeds {
-			out[i] = int(v)
-		}
-		resp := SeedsResponse{Seeds: out, Influence: e.oracle.CoverageInfluence(covered)}
-		e.cache.Put(key, resp)
-		return resp, nil
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.extendWriteDeadline(w)
-	writeJSON(w, http.StatusOK, v)
-}
-
-// TopResponse is the body of a /v1/top answer (exported for the cluster
-// coordinator).
-type TopResponse struct {
-	Vertices   []int     `json:"vertices"`
-	Influences []float64 `json:"influences"`
-}
-
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	defer e.release()
-	// The default must respect MaxK, or a bare GET /v1/top would 400 on
-	// servers configured with MaxK < 10.
-	k := min(10, s.cfg.MaxK)
-	if q := r.URL.Query().Get("k"); q != "" {
-		parsed, err := strconv.Atoi(q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid k %q", q)
-			return
-		}
-		k = parsed
-	}
-	if k < 1 || k > s.cfg.MaxK {
-		writeError(w, http.StatusBadRequest, "k must be in [1, %d], got %d", s.cfg.MaxK, k)
-		return
-	}
-	key := e.keyPrefix + "t:" + strconv.Itoa(k)
-	if v, ok := e.cache.Get(key); ok {
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	// Ranking all vertices is a full scan; single-flight it like /v1/seeds.
-	v, err := e.flight.Do(key, func() (any, error) {
-		if v, ok := e.cache.Get(key); ok {
-			return v, nil
-		}
-		vs, infs := e.oracle.TopSingleVertices(k)
-		out := make([]int, len(vs))
-		for i, v := range vs {
-			out[i] = int(v)
-		}
-		resp := TopResponse{Vertices: out, Influences: infs}
-		e.cache.Put(key, resp)
-		return resp, nil
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.extendWriteDeadline(w)
-	writeJSON(w, http.StatusOK, v)
 }
 
 // sketchInfo is the per-sketch metadata reported by GET /v1/sketches (and,

@@ -110,7 +110,7 @@ func TestInfluenceEndpoint(t *testing.T) {
 }
 
 func TestInfluenceRejectsBadInput(t *testing.T) {
-	ts := newTestServer(t, Config{MaxSeeds: 4})
+	ts := newTestServer(t, Config{Limits: Limits{MaxSeeds: 4}})
 	cases := []struct {
 		name, body string
 		wantStatus int
@@ -139,7 +139,7 @@ func TestInfluenceRejectsBadInput(t *testing.T) {
 }
 
 func TestInfluenceBodyLimit(t *testing.T) {
-	ts := newTestServer(t, Config{MaxBodyBytes: 64})
+	ts := newTestServer(t, Config{Limits: Limits{MaxBodyBytes: 64}})
 	big := `{"seeds":[` + strings.Repeat("1,", 100) + `1]}`
 	status, _ := postJSON(t, ts.URL+"/v1/influence", big)
 	if status != http.StatusRequestEntityTooLarge {
@@ -208,7 +208,7 @@ func TestBatchInfluenceEndpoint(t *testing.T) {
 
 func TestBatchInfluencePerItemErrors(t *testing.T) {
 	oracle := loadedKarateOracle(t)
-	ts := newTestServer(t, Config{Oracle: oracle, MaxSeeds: 3})
+	ts := newTestServer(t, Config{Oracle: oracle, Limits: Limits{MaxSeeds: 3}})
 
 	body := `[{"seeds":[0]},{"seeds":[]},{"seeds":[99]},{"seeds":[-1]},{"seeds":[0,1,2,3]},{"seeds":[33]}]`
 	status, raw := postJSON(t, ts.URL+"/v1/influence:batch", body)
@@ -238,7 +238,7 @@ func TestBatchInfluencePerItemErrors(t *testing.T) {
 }
 
 func TestBatchInfluenceRejectsBadBatches(t *testing.T) {
-	ts := newTestServer(t, Config{MaxBatchQueries: 2})
+	ts := newTestServer(t, Config{Limits: Limits{MaxBatchQueries: 2}})
 	cases := []struct {
 		name, body string
 		wantStatus int
@@ -332,7 +332,7 @@ func TestBatchDeduplicatesRepeatedQueries(t *testing.T) {
 
 func TestTopDefaultRespectsMaxK(t *testing.T) {
 	// A bare GET /v1/top must not 400 just because MaxK < 10.
-	ts := newTestServer(t, Config{MaxK: 5})
+	ts := newTestServer(t, Config{Limits: Limits{MaxK: 5}})
 	resp, err := http.Get(ts.URL + "/v1/top")
 	if err != nil {
 		t.Fatal(err)

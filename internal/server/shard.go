@@ -37,6 +37,10 @@ type ShardIdentity struct {
 	TotalSets  int    `json:"total_sets"`
 }
 
+// Identity returns the identity itself, so the coordinator can read it from
+// any response type that embeds a ShardIdentity.
+func (id ShardIdentity) Identity() ShardIdentity { return id }
+
 // shardIdentity describes o for a shard response, synthesizing the 1-shard
 // fleet view for unsharded sketches.
 func shardIdentity(o *core.Oracle) ShardIdentity {
@@ -84,55 +88,45 @@ func (s *Server) handleShardCoverage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "seed_sets must be non-empty")
 		return
 	}
-	if len(req.SeedSets) > s.cfg.MaxBatchQueries {
-		writeError(w, http.StatusBadRequest, "too many seed sets: %d > %d", len(req.SeedSets), s.cfg.MaxBatchQueries)
+	if len(req.SeedSets) > s.limits.MaxBatchQueries {
+		writeError(w, http.StatusBadRequest, "too many seed sets: %d > %d", len(req.SeedSets), s.limits.MaxBatchQueries)
 		return
 	}
-	resp := ShardCoverageResponse{
-		ShardIdentity: shardIdentity(e.oracle),
-		Counts:        make([]int64, len(req.SeedSets)),
-	}
+	// Invalid sets are evaluated as empty (count 0) and flagged in Errors.
 	seedSets := make([][]graph.VertexID, len(req.SeedSets))
-	var msgs []string
+	msgs := make([]string, len(req.SeedSets))
 	for i, seeds := range req.SeedSets {
-		if msg := s.validateShardSeeds(e.oracle, seeds); msg != "" {
-			if msgs == nil {
-				msgs = make([]string, len(req.SeedSets))
-			}
-			msgs[i] = msg
-			continue
+		if msgs[i] = s.validateShardSeeds(e.oracle, seeds); msgs[i] == "" {
+			seedSets[i] = CanonicalSeeds(seeds)
 		}
-		seedSets[i] = CanonicalSeeds(seeds)
 	}
 	counts, errs := e.oracle.BatchCoverage(seedSets, s.cfg.BatchWorkers)
-	for i := range counts {
-		if msgs != nil && msgs[i] != "" {
-			continue
-		}
-		if errs[i] != nil {
+	resp := ShardCoverageResponse{ShardIdentity: shardIdentity(e.oracle), Counts: counts}
+	for i, err := range errs {
+		if err != nil && msgs[i] == "" {
 			// Unreachable after validateShardSeeds, but the oracle's own
 			// validation is the final authority.
-			if msgs == nil {
-				msgs = make([]string, len(req.SeedSets))
-			}
-			msgs[i] = errs[i].Error()
-			continue
+			msgs[i] = err.Error()
 		}
-		resp.Counts[i] = counts[i]
+		if msgs[i] != "" {
+			resp.Errors = msgs
+		}
 	}
-	resp.Errors = msgs
 	s.extendWriteDeadline(w)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// validateShardSeeds is validateInfluenceSeeds for shard queries, which —
-// unlike public influence queries — accept the empty seed set (coverage 0,
-// and the greedy protocol's round-0 marginal call).
+// validateShardSeeds validates shard-query seeds as the public influence
+// queries are validated, except that the empty seed set is accepted
+// (coverage 0, and the greedy protocol's round-0 marginal call).
 func (s *Server) validateShardSeeds(oracle *core.Oracle, seeds []int) string {
 	if len(seeds) == 0 {
 		return ""
 	}
-	return s.validateInfluenceSeeds(oracle, seeds)
+	if msg := s.limits.shapeError(seeds); msg != "" {
+		return msg
+	}
+	return rangeError(seeds, oracle.NumVertices())
 }
 
 // ShardMarginalRequest asks for the marginal coverage gain of every candidate
