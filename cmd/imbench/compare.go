@@ -67,6 +67,8 @@ type kernelCompareReport struct {
 // kernel, every answer is asserted bitwise-identical across the two, and the
 // per-mode speedups land in the JSON report. Queries go straight to the
 // oracle — no HTTP, no result caches — so the numbers isolate the kernels.
+// A sketch whose packed index would exceed the bitpack kernel's memory cap
+// fails the run with the oracle's refusal instead of allocating it.
 func runCompareKernels(spec string, m workload.Mix, queries, maxSeeds, batch, repeat int, seed uint64, out string, stdout io.Writer) error {
 	_, path, err := server.ParseSketchSpec(spec)
 	if err != nil {

@@ -151,7 +151,6 @@ func run(args []string, stdout io.Writer) error {
 		mode        = fs.String("mode", "both", "request mode: single, batch or both")
 		seed        = fs.Uint64("seed", 1, "workload generation seed (equal seeds replay identical query streams)")
 		out         = fs.String("out", "", "write the JSON report to this file (default stdout)")
-		kernel      = fs.String("kernel", "auto", "coverage kernel of the in-process server (-sketch runs): auto, epoch or bitpack")
 		compare     = fs.Bool("compare-kernels", false, "benchmark the epoch and bitpack kernels head to head on the -sketch oracle (no HTTP), assert byte-identical answers, and report the speedup")
 		repeat      = fs.Int("repeat", 8, "workload passes per kernel in -compare-kernels mode")
 	)
@@ -210,7 +209,7 @@ func run(args []string, stdout io.Writer) error {
 	case *sketch != "" && *addr != "":
 		return fmt.Errorf("-addr and -sketch are mutually exclusive")
 	case *sketch != "":
-		stop, inproc, err := startInProcess(*sketch, *kernel)
+		stop, inproc, err := startInProcess(*sketch)
 		if err != nil {
 			return err
 		}
@@ -289,9 +288,8 @@ func run(args []string, stdout io.Writer) error {
 // entries; the first entry becomes the default sketch. The LRU caches are
 // disabled: with them on, the first replay pass would warm them and later
 // passes would measure cache lookups instead of the query engines. It
-// returns a shutdown func and the server's base URL. kernel selects the
-// coverage kernel of every served sketch (auto, epoch or bitpack).
-func startInProcess(spec, kernel string) (func(), string, error) {
+// returns a shutdown func and the server's base URL.
+func startInProcess(spec string) (func(), string, error) {
 	sketches := make(map[string]*core.Oracle)
 	defaultName := ""
 	for _, entry := range strings.Split(spec, ",") {
@@ -311,7 +309,7 @@ func startInProcess(spec, kernel string) (func(), string, error) {
 			defaultName = name
 		}
 	}
-	srv, err := server.New(server.Config{Sketches: sketches, DefaultSketch: defaultName, CacheSize: -1, Kernel: kernel})
+	srv, err := server.New(server.Config{Sketches: sketches, DefaultSketch: defaultName, CacheSize: -1})
 	if err != nil {
 		return nil, "", err
 	}

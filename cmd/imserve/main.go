@@ -110,7 +110,6 @@ func run(args []string) error {
 		maxK         = fs.Int("max-k", server.DefaultMaxK, "maximum k for /v1/seeds and /v1/top")
 		maxBatch     = fs.Int("max-batch", server.DefaultMaxBatchQueries, "maximum queries per /v1/influence:batch request")
 		batchW       = fs.Int("batch-workers", -1, "batch evaluation parallelism: 1 = request goroutine, -1 = all CPUs")
-		kernel       = fs.String("kernel", "auto", "coverage kernel for every served sketch: auto, epoch or bitpack (answers are identical; only speed differs)")
 		readTimeout  = fs.Duration("read-timeout", server.DefaultReadTimeout, "HTTP request read timeout (0 disables)")
 		writeTimeout = fs.Duration("write-timeout", server.DefaultWriteTimeout, "HTTP response write timeout (0 disables)")
 	)
@@ -160,7 +159,6 @@ func run(args []string) error {
 		CacheSize:     *cache,
 		Limits:        limits,
 		BatchWorkers:  *batchW,
-		Kernel:        *kernel,
 	})
 	if err != nil {
 		return err

@@ -345,13 +345,6 @@ type OracleOptions struct {
 	// stream derived from Seed, so every worker count — serial included —
 	// yields a byte-identical oracle for a fixed Seed.
 	Workers int
-	// Kernel selects the coverage kernel the oracle answers queries with:
-	// "epoch" (the reference epoch-mark kernel), "bitpack" (the popcount
-	// kernel over a packed RR-set × vertex bit matrix), or "auto" / ""
-	// (pick bitpack when the sketch is dense enough that the packed index
-	// pays for itself, epoch otherwise). The kernel changes only query
-	// speed, never answers: both return byte-identical results.
-	Kernel string
 }
 
 // NewInfluenceOracleWithOptions builds an influence oracle with full control
@@ -368,11 +361,7 @@ func (n *InfluenceNetwork) NewInfluenceOracleWithOptions(opt OracleOptions) (*In
 	if err != nil {
 		return nil, err
 	}
-	out := &InfluenceOracle{o: o}
-	if err := out.SetKernel(opt.Kernel); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return &InfluenceOracle{o: o}, nil
 }
 
 // Influence returns the oracle estimate of the influence spread of seeds.
@@ -441,22 +430,9 @@ func (o *InfluenceOracle) TopVertices(topK int) ([]int, []float64) {
 	return toInts(vs), infs
 }
 
-// SetKernel selects the coverage kernel the oracle answers queries with:
-// "epoch", "bitpack", or "auto" (the default; "" means auto). Kernels change
-// only query speed, never answers — every query is byte-identical under
-// either kernel — so switching is safe at any time, including on a loaded
-// sketch and concurrently with running queries. An unknown name returns an
-// error and leaves the oracle unchanged.
-func (o *InfluenceOracle) SetKernel(kernel string) error {
-	k, err := core.ParseKernel(kernel)
-	if err != nil {
-		return err
-	}
-	return o.o.SetKernel(k)
-}
-
-// Kernel reports the kernel actually answering queries: "epoch" or
-// "bitpack", with a configured "auto" resolved to its choice.
+// Kernel reports the coverage kernel answering queries, "epoch" or
+// "bitpack": the one the oracle picked from its sketch's shape when it was
+// built or loaded. Both kernels return byte-identical answers.
 func (o *InfluenceOracle) Kernel() string { return string(o.o.KernelResolved()) }
 
 // ConfidenceHalfWidth99 returns the half-width of the 99% confidence interval
@@ -589,21 +565,7 @@ func (n *InfluenceNetwork) NewSketchBuilder(opt OracleOptions) (*SketchBuilder, 
 	if err != nil {
 		return nil, err
 	}
-	if err := applyBuilderKernel(b, opt.Kernel); err != nil {
-		return nil, err
-	}
 	return &SketchBuilder{b: b}, nil
-}
-
-// applyBuilderKernel parses and installs an OracleOptions.Kernel selection on
-// a core builder, so the oracles it finalizes (and its internal ErrorBound
-// greedy) use the requested kernel.
-func applyBuilderKernel(b *core.SketchBuilder, kernel string) error {
-	k, err := core.ParseKernel(kernel)
-	if err != nil {
-		return err
-	}
-	return b.SetKernel(k)
 }
 
 // ResumeSketchBuilder reconstructs a builder from a checkpoint stream
@@ -800,10 +762,6 @@ func (n *InfluenceNetwork) BuildSketchWithCheckpoint(ctx context.Context, path s
 			}
 			return nil, toSummary(res), err
 		}
-		if err := applyBuilderKernel(b, opt.Kernel); err != nil {
-			_ = store.Close()
-			return nil, toSummary(res), err
-		}
 		o, err := b.Oracle()
 		if err != nil {
 			_ = store.Close()
@@ -813,9 +771,6 @@ func (n *InfluenceNetwork) BuildSketchWithCheckpoint(ctx context.Context, path s
 	}
 	b, res, err := sketchio.BuildWithCheckpoint(ctx, path, n.ig, m, opt.Workers, opt.Seed, bopt.coreTarget())
 	if err != nil {
-		return nil, toSummary(res), err
-	}
-	if err := applyBuilderKernel(b, opt.Kernel); err != nil {
 		return nil, toSummary(res), err
 	}
 	o, err := b.Oracle()

@@ -45,10 +45,6 @@ type SketchBuilder struct {
 	samplers []rrSampler
 	store    RRStore
 
-	// kernel is applied to every snapshot oracle the builder finalizes, so
-	// ErrorBound's greedy runs use the selected coverage kernel too.
-	kernel Kernel
-
 	// oracle caches the finalized view of the first oracleAt sets; appending
 	// past oracleAt invalidates it.
 	oracle   *Oracle
@@ -114,21 +110,6 @@ func NewSketchBuilderFromStore(ig *graph.InfluenceGraph, model diffusion.Model, 
 		split:   rng.SplitterFrom(rng.Xoshiro, rng.NewXoshiro(seed)),
 		store:   store,
 	}, nil
-}
-
-// SetKernel selects the coverage kernel of every oracle the builder
-// finalizes from now on (Oracle snapshots and, through them, ErrorBound's
-// greedy runs). Kernels never change answers, only speed.
-func (b *SketchBuilder) SetKernel(k Kernel) error {
-	k, err := ParseKernel(string(k))
-	if err != nil {
-		return err
-	}
-	b.kernel = k
-	if b.oracle != nil {
-		return b.oracle.SetKernel(k)
-	}
-	return nil
 }
 
 // NumSets returns the number of RR sets generated so far.
@@ -217,11 +198,6 @@ func (b *SketchBuilder) Oracle() (*Oracle, error) {
 		o, err := NewOracleFromStore(b.ig.NumVertices(), b.model, b.seed, b.store)
 		if err != nil {
 			return nil, err
-		}
-		if b.kernel != "" {
-			if err := o.SetKernel(b.kernel); err != nil {
-				return nil, err
-			}
 		}
 		b.oracle = o
 		b.oracleAt = o.NumSets()

@@ -4,15 +4,16 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"imdist/internal/graph"
 )
 
-// Kernel selects the coverage-counting implementation behind the oracle's
-// query path — Influence, BatchInfluence, MarginalCoverage, GreedySeeds and
+// Kernel names a coverage-counting implementation behind the oracle's query
+// path — Influence, BatchInfluence, MarginalCoverage, GreedySeeds and
 // (through them) everything the server and the facade expose. Both kernels
-// compute the exact same integer coverage counts, so every Kernel value
-// returns byte-identical answers; the knob trades memory for raw scan speed:
+// compute the exact same integer coverage counts, so answers are
+// byte-identical under either; they trade memory for raw scan speed:
 //
 //   - KernelEpoch walks the int-slice membership lists with an epoch-stamped
 //     mark array — the reference implementation, O(Σ|memberOf[seed]|) random
@@ -23,44 +24,30 @@ import (
 //     word operations, so it wins whenever membership is dense (RR sets touch
 //     more than ~1/64 of the vertices on average) at the price of n·R/8 bytes
 //     for the packed index, built lazily on first use.
-//   - KernelAuto (the default) picks bitpack exactly when the packed index
-//     costs at most BitpackAutoMemFactor× the memory of the int-slice
-//     adjacency it shadows — which is the same density regime where the
-//     popcount scan also wins on time — and stays on epoch otherwise.
+//
+// Every oracle picks its kernel at construction from its own shape (see
+// decideAutoKernel). SetKernel overrides that choice for the tests and
+// benchmarks that run both kernels on one RR pool.
 type Kernel string
 
-// The three kernel selection policies. The zero value ("") behaves as
-// KernelAuto everywhere a Kernel is consumed.
+// The two coverage kernels.
 const (
-	KernelAuto    Kernel = "auto"
 	KernelEpoch   Kernel = "epoch"
 	KernelBitpack Kernel = "bitpack"
 )
 
-// ParseKernel validates a kernel name from a flag or config field. The empty
-// string parses as KernelAuto so zero-valued configs keep the default.
-func ParseKernel(s string) (Kernel, error) {
-	switch Kernel(s) {
-	case "":
-		return KernelAuto, nil
-	case KernelAuto, KernelEpoch, KernelBitpack:
-		return Kernel(s), nil
-	}
-	return "", fmt.Errorf("core: unknown kernel %q (want auto, epoch or bitpack)", s)
-}
+// bitpackAutoMemFactor bounds how much memory the auto policy will spend on
+// the packed index relative to the int-slice adjacency it shadows. Packed
+// bytes are n·R/8 and adjacency bytes are 4·Σ|set|, so the factor-of-2
+// threshold is exactly membership density 1/64 — one set bit per accumulator
+// word, the break-even point of the popcount scan against the epoch walk.
+const bitpackAutoMemFactor = 2
 
-// BitpackAutoMemFactor bounds how much memory KernelAuto will spend on the
-// packed index relative to the int-slice adjacency it shadows. Packed bytes
-// are n·R/8 and adjacency bytes are 4·Σ|set|, so the factor-of-2 threshold is
-// exactly membership density 1/64 — one set bit per accumulator word, the
-// break-even point of the popcount scan against the epoch walk.
-const BitpackAutoMemFactor = 2
-
-// bitpackAutoMaxBytes caps the packed index KernelAuto will build without
-// being asked (an explicit KernelBitpack builds any size). Dense regimes keep
-// packed and adjacency sizes comparable, so the cap only guards genuinely
-// enormous oracles from a surprise allocation.
-const bitpackAutoMaxBytes = 1 << 31
+// bitpackMaxBytes caps the packed index any oracle builds, whether the auto
+// policy picked bitpack or SetKernel forced it. Dense regimes keep packed and
+// adjacency sizes comparable, so the cap only guards genuinely enormous
+// oracles from a surprise allocation.
+const bitpackMaxBytes = 1 << 31
 
 // bitMatrix is the packed RR-set × vertex incidence index behind
 // KernelBitpack: bit i of row v is set iff RR set i contains vertex v, so
@@ -101,7 +88,7 @@ func packedWords(n, numSets, shardSize int) int {
 // PackedIndexBytes returns the memory cost in bytes of the bitpack kernel's
 // packed index for an oracle over n vertices and numSets RR sets — what the
 // auto policy weighs against the adjacency size, exported so operators can
-// budget the Kernel knob (see docs/ARCHITECTURE.md).
+// budget a sketch's memory (see docs/ARCHITECTURE.md).
 func PackedIndexBytes(n, numSets int) int64 {
 	return 8 * int64(packedWords(n, numSets, DefaultBatchShardSize))
 }
@@ -230,15 +217,12 @@ func (m *bitMatrix) uncovered(v int, covered []uint64) int64 {
 	return hits
 }
 
-// kernelState is the oracle's lazily resolved kernel machinery: the
-// configured policy, the auto decision (fixed at construction — it depends
-// only on the snapshot's shape), and the packed index built on first use.
+// kernelState is the oracle's kernel machinery: which kernel answers
+// queries, and the packed index built on first use.
 type kernelState struct {
-	mu         sync.RWMutex
-	configured Kernel
-	// autoBitpack records whether KernelAuto resolves to bitpack for this
-	// oracle's shape.
-	autoBitpack bool
+	// bitpack selects KernelBitpack. Construction stores the auto policy's
+	// choice; SetKernel may flip it while queries run.
+	bitpack atomic.Bool
 
 	packOnce sync.Once
 	packed   *bitMatrix
@@ -246,36 +230,32 @@ type kernelState struct {
 	accPool sync.Pool // *[]uint64 accumulators of maxBlockWords length
 }
 
-// SetKernel selects the oracle's coverage kernel. It may be called at any
-// time, including concurrently with queries: answers are byte-identical
-// under every kernel, so a switch is only ever a performance event. The
-// packed index is built lazily on the first query that needs it.
+// SetKernel overrides the kernel the auto policy picked at construction, so
+// the reference-equivalence tests and imbench -compare-kernels can run both
+// kernels on one RR pool. It may be called concurrently with queries: answers
+// are byte-identical under either kernel, so a switch is only ever a
+// performance event. Forcing KernelBitpack on an oracle whose packed index
+// would exceed the cap the auto policy also respects returns an error and
+// leaves the kernel unchanged.
 func (o *Oracle) SetKernel(k Kernel) error {
-	k, err := ParseKernel(string(k))
-	if err != nil {
-		return err
+	switch k {
+	case KernelEpoch:
+		o.kernels.bitpack.Store(false)
+	case KernelBitpack:
+		if packed := PackedIndexBytes(o.n, o.numSets); packed > bitpackMaxBytes {
+			return fmt.Errorf("core: the bitpack kernel needs a %.1f GiB packed index for %d vertices × %d RR sets, over the %d GiB cap",
+				float64(packed)/(1<<30), o.n, o.numSets, bitpackMaxBytes>>30)
+		}
+		o.kernels.bitpack.Store(true)
+	default:
+		return fmt.Errorf("core: unknown kernel %q (want epoch or bitpack)", k)
 	}
-	o.kernels.mu.Lock()
-	o.kernels.configured = k
-	o.kernels.mu.Unlock()
 	return nil
 }
 
-// KernelConfigured returns the kernel selection policy the oracle was given
-// (KernelAuto when never set).
-func (o *Oracle) KernelConfigured() Kernel {
-	o.kernels.mu.RLock()
-	defer o.kernels.mu.RUnlock()
-	if o.kernels.configured == "" {
-		return KernelAuto
-	}
-	return o.kernels.configured
-}
-
-// KernelResolved returns the kernel the oracle's queries actually run on:
-// KernelConfigured with auto resolved against the oracle's shape. The
-// resolution is deterministic, so this never forces the packed index to
-// build.
+// KernelResolved returns the kernel the oracle's queries run on: the auto
+// policy's choice unless SetKernel overrode it. It never forces the packed
+// index to build.
 func (o *Oracle) KernelResolved() Kernel {
 	if o.useBitpack() {
 		return KernelBitpack
@@ -283,27 +263,21 @@ func (o *Oracle) KernelResolved() Kernel {
 	return KernelEpoch
 }
 
-// useBitpack resolves the kernel policy for a query.
-func (o *Oracle) useBitpack() bool {
-	switch o.KernelConfigured() {
-	case KernelBitpack:
-		return true
-	case KernelEpoch:
-		return false
-	}
-	return o.kernels.autoBitpack
-}
+func (o *Oracle) useBitpack() bool { return o.kernels.bitpack.Load() }
 
-// decideAutoKernel fixes the auto policy's choice at construction time:
-// bitpack iff the packed index costs at most BitpackAutoMemFactor× the
-// adjacency it shadows (membership density ≥ 1/64 — where the popcount scan
-// wins) and stays under the absolute auto cap. payloadBytes encodes each set
-// as 4 bytes of length plus 4 bytes per vertex, so the adjacency (member
-// index) size is payloadBytes − 4·numSets.
-func (o *Oracle) decideAutoKernel() {
-	packed := PackedIndexBytes(o.n, o.numSets)
-	adjacency := o.payloadBytes - 4*int64(o.numSets)
-	o.kernels.autoBitpack = packed <= BitpackAutoMemFactor*adjacency && packed <= bitpackAutoMaxBytes
+// decideAutoKernel is the auto policy, fixed at construction from the
+// oracle's shape: bitpack iff the packed index costs at most
+// bitpackAutoMemFactor× the adjacency it shadows (membership density ≥ 1/64 —
+// where the popcount scan wins) and fits under bitpackMaxBytes. payloadBytes
+// encodes each set as 4 bytes of length plus 4 bytes per vertex, so the
+// adjacency (member index) size is payloadBytes − 4·numSets.
+func decideAutoKernel(n, numSets int, payloadBytes int64) Kernel {
+	packed := PackedIndexBytes(n, numSets)
+	adjacency := payloadBytes - 4*int64(numSets)
+	if packed <= bitpackAutoMemFactor*adjacency && packed <= bitpackMaxBytes {
+		return KernelBitpack
+	}
+	return KernelEpoch
 }
 
 // packedMatrix returns the packed index, building it on first use.

@@ -13,27 +13,6 @@ import (
 	"imdist/internal/workload"
 )
 
-func TestParseKernel(t *testing.T) {
-	for _, s := range []string{"", "auto", "epoch", "bitpack"} {
-		k, err := ParseKernel(s)
-		if err != nil {
-			t.Errorf("ParseKernel(%q) = %v", s, err)
-		}
-		if s == "" && k != KernelAuto {
-			t.Errorf("ParseKernel(\"\") = %q, want auto", k)
-		}
-	}
-	for _, s := range []string{"bits", "BITPACK", "epoch "} {
-		if _, err := ParseKernel(s); err == nil {
-			t.Errorf("ParseKernel(%q) accepted", s)
-		}
-	}
-	o := mustOracle(t, twoStarGraph(t), 100, 1)
-	if err := o.SetKernel("nope"); err == nil {
-		t.Error("SetKernel(nope) accepted")
-	}
-}
-
 func TestKernelAutoPicksBitpackOnDenseOracles(t *testing.T) {
 	// Karate RR sets touch a large fraction of the 34 vertices: density far
 	// above 1/64, so auto must choose the packed kernel.
@@ -41,8 +20,115 @@ func TestKernelAutoPicksBitpackOnDenseOracles(t *testing.T) {
 	if got := o.KernelResolved(); got != KernelBitpack {
 		t.Errorf("auto kernel on Karate = %q, want bitpack", got)
 	}
-	if got := o.KernelConfigured(); got != KernelAuto {
-		t.Errorf("configured kernel = %q, want auto", got)
+}
+
+// TestDecideAutoKernel pins the auto policy on both sides of its choice.
+// payloadBytes is 4 bytes per set plus 4 per member, so each row gives its
+// shape as a vertex count, an RR-set count and the mean RR-set size.
+func TestDecideAutoKernel(t *testing.T) {
+	payload := func(numSets int, meanSet float64) int64 {
+		return 4*int64(numSets) + int64(4*meanSet*float64(numSets))
+	}
+	cases := []struct {
+		name         string
+		n, numSets   int
+		payloadBytes int64
+		want         Kernel
+	}{
+		// The layered benchmark's sparse workload: BA n=10^5 under iwc with
+		// 2^20 sets of ≈26 vertices. Packed would be 13.1 GB against a
+		// ≈109 MB adjacency.
+		{"ic100k-uniform", 100_000, 1 << 20, payload(1<<20, 26), KernelEpoch},
+		// The dense workload: BA n=4·10^3 under uc0.1 with 2^18 sets of
+		// ≈172 vertices. Packed is 131 MB against a ≈180 MB adjacency.
+		{"ic4k-hotspot", 4_000, 1 << 18, payload(1<<18, 172), KernelBitpack},
+		// Density 1/4 passes the memory-factor test by far, but the 2.7 GB
+		// packed index exceeds the absolute cap.
+		{"dense-over-cap", 20_000, 1 << 20, payload(1<<20, 5_000), KernelEpoch},
+		// The threshold itself: 6400 sets fill 100 words per row, so packed
+		// is 6400·100·8 bytes, and 640000 members (density exactly 1/64)
+		// make the adjacency half of that.
+		{"density-1/64", 6_400, 6_400, 4*6_400 + 4*640_000, KernelBitpack},
+		{"density-below-1/64", 6_400, 6_400, 4*6_400 + 4*639_999, KernelEpoch},
+	}
+	for _, tc := range cases {
+		if got := decideAutoKernel(tc.n, tc.numSets, tc.payloadBytes); got != tc.want {
+			t.Errorf("%s: decideAutoKernel(%d, %d, %d) = %q, want %q (packed %d bytes)",
+				tc.name, tc.n, tc.numSets, tc.payloadBytes, got, tc.want, PackedIndexBytes(tc.n, tc.numSets))
+		}
+	}
+}
+
+// TestKernelAutoStaysEpochOnSparseOracles is the sparse side of the auto
+// policy on a real oracle: a generated scale-free graph under iwc has RR sets
+// far below density 1/64, so auto picks epoch and no query path may build
+// the packed index.
+func TestKernelAutoStaysEpochOnSparseOracles(t *testing.T) {
+	g, err := gen.BarabasiAlbert(5000, 4, rng.NewXoshiro(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ig, err := workload.Assign(g, workload.IWC, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewOracleParallel(ig, diffusion.IC, 4000, 2, rng.NewXoshiro(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := (o.PayloadBytes() - 4*int64(o.NumSets())) / 4
+	if density := float64(members) / (float64(o.NumVertices()) * float64(o.NumSets())); density >= 1.0/64 {
+		t.Fatalf("membership density %v is not sparse", density)
+	}
+	if got := o.KernelResolved(); got != KernelEpoch {
+		t.Fatalf("auto kernel on a sparse oracle = %q, want epoch", got)
+	}
+
+	seeds := []graph.VertexID{0, 1, 2, 17, 4999}
+	if _, err := o.Influence(seeds); err != nil {
+		t.Fatal(err)
+	}
+	if _, errs := o.BatchInfluence([][]graph.VertexID{seeds, {3, 5}, {9}}, 2); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if _, err := o.MarginalCoverage(seeds[:2], []graph.VertexID{3, 4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.GreedySeeds(10); len(got) != 10 {
+		t.Fatalf("GreedySeeds(10) returned %d seeds", len(got))
+	}
+	if o.kernels.packed != nil {
+		t.Error("a query on an epoch-kernel oracle built the packed index")
+	}
+}
+
+// TestSetKernelRejects pins the override's two refusals: an unknown kernel
+// name, and bitpack on an oracle whose packed index exceeds the cap the auto
+// policy respects (here the ic100k-uniform shape, whose packed index would be
+// 13.1 GB). Neither may change the kernel or allocate the index. SetKernel
+// reads only the oracle's shape, so the shape alone stands in for an oracle.
+func TestSetKernelRejects(t *testing.T) {
+	o := mustOracle(t, twoStarGraph(t), 100, 1)
+	before := o.KernelResolved()
+	if err := o.SetKernel("nope"); err == nil {
+		t.Error("SetKernel(nope) accepted")
+	}
+	if got := o.KernelResolved(); got != before {
+		t.Errorf("failed SetKernel changed the kernel from %q to %q", before, got)
+	}
+
+	huge := &Oracle{n: 100_000, numSets: 1 << 20}
+	if err := huge.SetKernel(KernelBitpack); err == nil {
+		t.Fatal("SetKernel(bitpack) accepted a 13.1 GB packed index")
+	}
+	if got := huge.KernelResolved(); got != KernelEpoch {
+		t.Errorf("over-cap oracle resolves kernel %q after a refused override", got)
+	}
+	if huge.kernels.packed != nil {
+		t.Error("a refused override built the packed index")
+	}
+	if err := huge.SetKernel(KernelEpoch); err != nil {
+		t.Errorf("SetKernel(epoch) on the over-cap oracle: %v", err)
 	}
 }
 
@@ -234,17 +320,14 @@ func TestKernelSwitchUnderConcurrentQueries(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBuilderKernelThreading pins that a builder's kernel selection reaches
-// its snapshot oracles and never changes ErrorBound.
+// TestBuilderKernelThreading pins that ErrorBound runs on the builder's
+// cached snapshot oracle and never depends on its kernel.
 func TestBuilderKernelThreading(t *testing.T) {
 	ig := karateIWC(t)
 	bounds := make(map[Kernel]float64)
 	for _, k := range []Kernel{KernelEpoch, KernelBitpack} {
 		b, err := NewSketchBuilder(ig, diffusion.IC, 1, 42)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.SetKernel(k); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.AppendBatch(5000); err != nil {
@@ -254,10 +337,16 @@ func TestBuilderKernelThreading(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := o.KernelResolved(); got != k {
-			t.Errorf("builder oracle kernel = %q, want %q", got, k)
+		if err := o.SetKernel(k); err != nil {
+			t.Fatal(err)
 		}
 		bounds[k] = b.ErrorBound(10, 0.01)
+		if again, err := b.Oracle(); err != nil || again != o {
+			t.Fatalf("ErrorBound did not run on the cached oracle (err %v)", err)
+		}
+		if got := o.KernelResolved(); got != k {
+			t.Errorf("builder oracle kernel = %q after ErrorBound, want %q", got, k)
+		}
 	}
 	if math.Float64bits(bounds[KernelEpoch]) != math.Float64bits(bounds[KernelBitpack]) {
 		t.Errorf("ErrorBound differs across kernels: epoch=%v bitpack=%v", bounds[KernelEpoch], bounds[KernelBitpack])

@@ -221,7 +221,7 @@ func NewOracleFromStore(n int, model diffusion.Model, seed uint64, store RRStore
 	if err := o.buildMemberIndex(); err != nil {
 		return nil, err
 	}
-	o.decideAutoKernel()
+	o.kernels.bitpack.Store(decideAutoKernel(n, numSets, o.payloadBytes) == KernelBitpack)
 	return o, nil
 }
 

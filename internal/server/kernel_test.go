@@ -29,35 +29,29 @@ func getRaw(t testing.TB, url string) (int, []byte) {
 	return resp.StatusCode, raw
 }
 
-// TestConfigKernelValidation pins Config.Kernel's contract: known names (and
-// the empty default) are accepted, unknown names fail New.
-func TestConfigKernelValidation(t *testing.T) {
-	oracle := karateOracle(t)
-	for _, kernel := range []string{"", "auto", "epoch", "bitpack"} {
-		if _, err := New(Config{Oracle: oracle, Kernel: kernel}); err != nil {
-			t.Errorf("Config.Kernel = %q rejected: %v", kernel, err)
-		}
-	}
-	if _, err := New(Config{Oracle: oracle, Kernel: "gpu"}); err == nil {
-		t.Error("Config.Kernel = \"gpu\" accepted")
-	}
-}
-
 // TestServerKernelsAnswerIdentically serves the same sketch from two servers
-// pinned to opposite kernels and requires byte-identical response bodies on
-// the whole query surface — the HTTP layer's view of the kernel contract.
+// whose oracles are pinned to opposite kernels and requires byte-identical
+// response bodies on the whole query surface — the HTTP layer's view of the
+// kernel contract.
 func TestServerKernelsAnswerIdentically(t *testing.T) {
-	serverFor := func(kernel string) *httptest.Server {
-		s, err := New(Config{Oracle: loadedKarateOracle(t), Kernel: kernel, CacheSize: -1})
+	serverFor := func(kernel core.Kernel) *httptest.Server {
+		oracle := loadedKarateOracle(t)
+		if err := oracle.SetKernel(kernel); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Oracle: oracle, CacheSize: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
+		if got := sketchKernels(t, ts.URL); len(got) != 1 || got[0] != string(kernel) {
+			t.Fatalf("/v1/sketches reports kernels %v, want [%s]", got, kernel)
+		}
 		return ts
 	}
-	epoch := serverFor("epoch")
-	bitpack := serverFor("bitpack")
+	epoch := serverFor(core.KernelEpoch)
+	bitpack := serverFor(core.KernelBitpack)
 
 	type call struct{ method, path, body string }
 	calls := []call{
@@ -86,12 +80,31 @@ func TestServerKernelsAnswerIdentically(t *testing.T) {
 	}
 }
 
-// TestRegistryAppliesKernelToLoads verifies the one-knob-for-all-sketches
-// behavior: a sketch loaded through Registry.LoadFile (the imserve and admin
-// reload path) comes up on the server's configured kernel, and /v1/sketches
-// reports it.
-func TestRegistryAppliesKernelToLoads(t *testing.T) {
-	s, err := New(Config{AllowEmpty: true, Kernel: "bitpack"})
+// sketchKernels returns the kernel field of every sketch /v1/sketches lists.
+func sketchKernels(t *testing.T, base string) []string {
+	t.Helper()
+	var list struct {
+		Sketches []struct {
+			Kernel string `json:"kernel"`
+		} `json:"sketches"`
+	}
+	if status := getJSON(t, base+"/v1/sketches", &list); status != 200 {
+		t.Fatalf("GET /v1/sketches: status %d", status)
+	}
+	kernels := make([]string, len(list.Sketches))
+	for i, sk := range list.Sketches {
+		kernels[i] = sk.Kernel
+	}
+	return kernels
+}
+
+// TestSketchesReportOracleKernel pins that every sketch runs the kernel its
+// oracle chose: a file loaded through Registry.LoadFile (the imserve and
+// admin reload path) reports the auto policy's choice — bitpack, since
+// Karate's RR sets are dense — and Register leaves a caller's oracle on the
+// kernel it already had.
+func TestSketchesReportOracleKernel(t *testing.T) {
+	s, err := New(Config{AllowEmpty: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,39 +119,20 @@ func TestRegistryAppliesKernelToLoads(t *testing.T) {
 	if err := s.Registry().LoadFile("karate", path); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := s.Registry().acquire("karate")
-	if !ok {
-		t.Fatal("loaded sketch not acquirable")
-	}
-	defer e.release()
-	if got := e.oracle.KernelConfigured(); got != core.KernelBitpack {
-		t.Errorf("loaded oracle configured kernel = %q, want bitpack", got)
-	}
-
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	var list struct {
-		Sketches []struct {
-			Name   string `json:"name"`
-			Kernel string `json:"kernel"`
-		} `json:"sketches"`
+	if got := sketchKernels(t, ts.URL); len(got) != 1 || got[0] != "bitpack" {
+		t.Errorf("/v1/sketches reports kernels %v for a loaded Karate sketch, want [bitpack]", got)
 	}
-	if status := getJSON(t, ts.URL+"/v1/sketches", &list); status != 200 {
-		t.Fatalf("GET /v1/sketches: status %d", status)
-	}
-	if len(list.Sketches) != 1 || list.Sketches[0].Kernel != "bitpack" {
-		t.Errorf("/v1/sketches reports %+v, want one sketch on the bitpack kernel", list.Sketches)
-	}
-}
 
-// TestRegisterAppliesKernel covers the in-memory Config.Sketches path: every
-// oracle handed to New comes up on the configured kernel.
-func TestRegisterAppliesKernel(t *testing.T) {
-	oracle := karateOracle(t)
-	if _, err := New(Config{Sketches: map[string]*core.Oracle{"k": oracle}, Kernel: "epoch"}); err != nil {
+	pinned := karateOracle(t)
+	if err := pinned.SetKernel(core.KernelEpoch); err != nil {
 		t.Fatal(err)
 	}
-	if got := oracle.KernelConfigured(); got != core.KernelEpoch {
-		t.Errorf("registered oracle configured kernel = %q, want epoch", got)
+	if err := s.Registry().Register("pinned", pinned); err != nil {
+		t.Fatal(err)
+	}
+	if got := pinned.KernelResolved(); got != core.KernelEpoch {
+		t.Errorf("Register changed the caller's oracle to kernel %q", got)
 	}
 }

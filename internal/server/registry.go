@@ -109,36 +109,12 @@ type Registry struct {
 	// batchWorkers is handed to every entry's batch engine; server.New sets
 	// it from Config.BatchWorkers before the first registration.
 	batchWorkers int
-	// kernel is applied to every oracle that enters the registry (Register
-	// and LoadFile), so one server-level knob governs all sketches uniformly.
-	kernel core.Kernel
 }
 
 // NewRegistry returns an empty registry whose sketches each get an LRU
 // result cache of cacheSize entries (negative disables caching).
 func NewRegistry(cacheSize int) *Registry {
 	return &Registry{entries: make(map[string]*sketchEntry), cacheSize: cacheSize}
-}
-
-// SetKernel selects the coverage kernel applied to every sketch subsequently
-// registered or loaded (server.New calls it with Config.Kernel before the
-// first registration). Sketches already held are unaffected.
-func (r *Registry) SetKernel(k core.Kernel) {
-	r.mu.Lock()
-	r.kernel = k
-	r.mu.Unlock()
-}
-
-// applyKernel installs the registry's kernel selection on an oracle about to
-// enter the registry. The kernel was validated when it was set, so the
-// oracle's own validation cannot fail here.
-func (r *Registry) applyKernel(oracle *core.Oracle) {
-	r.mu.RLock()
-	k := r.kernel
-	r.mu.RUnlock()
-	if k != "" {
-		_ = oracle.SetKernel(k)
-	}
 }
 
 func validateSketchName(name string) error {
@@ -181,7 +157,6 @@ func (r *Registry) Register(name string, oracle *core.Oracle) error {
 	if err := validateSketchName(name); err != nil {
 		return err
 	}
-	r.applyKernel(oracle)
 	r.swap(r.newSketchEntry(name, oracle, nil, ""))
 	return nil
 }
@@ -198,7 +173,6 @@ func (r *Registry) LoadFile(name, path string) error {
 	if err != nil {
 		return fmt.Errorf("loading sketch %q from %s: %w", name, path, err)
 	}
-	r.applyKernel(m.Oracle())
 	r.swap(r.newSketchEntry(name, m.Oracle(), m, path))
 	return nil
 }

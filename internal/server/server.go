@@ -95,11 +95,6 @@ type Config struct {
 	// engine for each /v1/influence:batch request. The zero value selects one
 	// worker per CPU; 1 evaluates batches on the request goroutine.
 	BatchWorkers int
-	// Kernel is the coverage kernel applied to every sketch the server holds —
-	// those in this Config and every later registry load or admin reload:
-	// "epoch", "bitpack", or "auto" (the default; "" means auto). Kernels
-	// change only query speed, never answers (see core.Kernel).
-	Kernel string
 	// BuildConcurrency is how many async sketch builds (/v1/admin/builds)
 	// run at once (default DefaultBuildConcurrency).
 	BuildConcurrency int
@@ -143,18 +138,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxBuildSets < 1 {
 		cfg.MaxBuildSets = DefaultMaxBuildSets
 	}
-	kernel, err := core.ParseKernel(cfg.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Kernel = string(kernel)
 	s := &Server{
 		registry: NewRegistry(cfg.CacheSize),
 		cfg:      cfg,
 		start:    time.Now(),
 	}
 	s.Frontend = NewFrontend(cfg.Limits, s.sketchBackend)
-	s.registry.SetKernel(kernel)
 	s.registry.batchWorkers = cfg.BatchWorkers
 	s.builds = newBuildManager(s.registry, cfg.BuildConcurrency, cfg.MaxQueuedBuilds, cfg.MaxBuildSets)
 	if cfg.Oracle != nil {

@@ -25,11 +25,11 @@ func spillOracleWithKernel(t *testing.T, path string, total int, seed uint64, k 
 	if res.Sets != total {
 		t.Fatalf("spill build stopped at %d sets, want %d", res.Sets, total)
 	}
-	if err := b.SetKernel(k); err != nil {
-		t.Fatal(err)
-	}
 	o, err := b.Oracle()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.SetKernel(k); err != nil {
 		t.Fatal(err)
 	}
 	return o

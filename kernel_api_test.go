@@ -4,21 +4,33 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"imdist/internal/core"
 )
 
-// kernelOracles builds the same sketch twice — once pinned to each kernel —
-// through the public OracleOptions knob.
+// pinKernel forces o onto kernel k through the core override, which only the
+// equivalence tests and imbench -compare-kernels use.
+func pinKernel(t *testing.T, o *InfluenceOracle, k core.Kernel) {
+	t.Helper()
+	if err := o.o.SetKernel(k); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// kernelOracles builds the same sketch twice and pins one copy to each
+// kernel.
 func kernelOracles(t *testing.T) (epoch, bitpack *InfluenceOracle) {
 	t.Helper()
 	ig := karateUC(t)
-	build := func(kernel string) *InfluenceOracle {
-		o, err := ig.NewInfluenceOracleWithOptions(OracleOptions{RRSets: 30000, Seed: 11, Workers: 2, Kernel: kernel})
+	build := func(k core.Kernel) *InfluenceOracle {
+		o, err := ig.NewInfluenceOracleWithOptions(OracleOptions{RRSets: 30000, Seed: 11, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		pinKernel(t, o, k)
 		return o
 	}
-	return build("epoch"), build("bitpack")
+	return build(core.KernelEpoch), build(core.KernelBitpack)
 }
 
 // assertOraclesAnswerIdentically drives the full public query surface of two
@@ -74,7 +86,17 @@ func assertOraclesAnswerIdentically(t *testing.T, want, got *InfluenceOracle) {
 	}
 }
 
+// TestOracleOptionsKernel pins that an OracleOptions build runs the auto
+// policy's kernel — bitpack on Karate, whose RR sets are dense — and that
+// the two kernels answer the public query surface identically.
 func TestOracleOptionsKernel(t *testing.T) {
+	o, err := karateUC(t).NewInfluenceOracleWithOptions(OracleOptions{RRSets: 30000, Seed: 11, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Kernel(); got != "bitpack" {
+		t.Errorf("Karate oracle reports kernel %q, want auto's bitpack", got)
+	}
 	epoch, bitpack := kernelOracles(t)
 	if got := epoch.Kernel(); got != "epoch" {
 		t.Errorf("epoch oracle reports kernel %q", got)
@@ -85,25 +107,17 @@ func TestOracleOptionsKernel(t *testing.T) {
 	assertOraclesAnswerIdentically(t, epoch, bitpack)
 }
 
-func TestOracleOptionsKernelRejectsUnknown(t *testing.T) {
-	ig := karateUC(t)
-	if _, err := ig.NewInfluenceOracleWithOptions(OracleOptions{RRSets: 100, Seed: 1, Kernel: "simd"}); err == nil {
-		t.Fatal("unknown kernel accepted by OracleOptions")
-	}
-	if _, err := ig.NewSketchBuilder(OracleOptions{Seed: 1, Kernel: "simd"}); err == nil {
-		t.Fatal("unknown kernel accepted by NewSketchBuilder")
-	}
-}
-
-// TestSetKernelOnLoadedSketch switches kernels on a sketch loaded from disk —
-// the imserve scenario — and requires the loaded oracle's answers to stay
-// bitwise-identical to the original build under both kernels.
+// TestSetKernelOnLoadedSketch compares a sketch loaded from disk — the
+// imserve scenario, where the loaded oracle picks bitpack for Karate — with
+// the original build pinned to epoch, and requires bitwise-identical
+// answers.
 func TestSetKernelOnLoadedSketch(t *testing.T) {
 	ig := karateUC(t)
-	built, err := ig.NewInfluenceOracleWithOptions(OracleOptions{RRSets: 30000, Seed: 11, Workers: 2, Kernel: "epoch"})
+	built, err := ig.NewInfluenceOracleWithOptions(OracleOptions{RRSets: 30000, Seed: 11, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinKernel(t, built, core.KernelEpoch)
 	path := filepath.Join(t.TempDir(), "karate.sketch")
 	if err := built.SaveSketchFile(path); err != nil {
 		t.Fatal(err)
@@ -112,18 +126,8 @@ func TestSetKernelOnLoadedSketch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.SetKernel("bitpack"); err != nil {
-		t.Fatal(err)
-	}
 	if got := loaded.Kernel(); got != "bitpack" {
-		t.Errorf("loaded sketch reports kernel %q after SetKernel", got)
+		t.Errorf("loaded sketch reports kernel %q, want auto's bitpack", got)
 	}
 	assertOraclesAnswerIdentically(t, built, loaded)
-
-	if err := loaded.SetKernel("avx"); err == nil {
-		t.Fatal("unknown kernel accepted by SetKernel")
-	}
-	if got := loaded.Kernel(); got != "bitpack" {
-		t.Errorf("failed SetKernel changed the kernel to %q", got)
-	}
 }
