@@ -27,6 +27,11 @@
 //	imsketch -info karate.sketch
 //	imsketch -split 4 big.sketch
 //
+// -info verifies a file section by section and prints one line per section:
+// a sketch (v3) as header, offsets, entries and checksum, a legacy v1
+// sketch as header, payload and checksum (a shard adds a lineage section
+// after the header), a checkpoint as header and segments.
+//
 // -split N partitions an existing sketch into N shard files
 // (<sketch>.shard<i>-of-<N>, or -out as the prefix) along the batch engine's
 // 64Ki-set block boundaries. Each shard is a complete sketch over a
@@ -365,7 +370,10 @@ func describe(path string) error {
 		return err
 	}
 	kind := "sketch"
-	if fi.Version == 2 {
+	switch fi.Version {
+	case 1:
+		kind = "legacy sketch"
+	case 2:
 		kind = "checkpoint"
 	}
 	fmt.Printf("%s: v%d n=%d rr_sets=%d model=%s seed=%d size=%d\n",

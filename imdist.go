@@ -478,8 +478,9 @@ func LoadSketch(r io.Reader) (*InfluenceOracle, error) {
 	return &InfluenceOracle{o: o}, nil
 }
 
-// LoadSketchFile loads a sketch from path, memory-mapping the file on
-// platforms that support it.
+// LoadSketchFile loads a sketch from path onto the heap. The file must hold
+// exactly one sketch: bytes after its checksum are corruption. Use
+// OpenSketchFile to serve a sketch zero-copy out of the page cache.
 func LoadSketchFile(path string) (*InfluenceOracle, error) {
 	o, err := sketchio.ReadFile(path)
 	if err != nil {
@@ -489,9 +490,12 @@ func LoadSketchFile(path string) (*InfluenceOracle, error) {
 }
 
 // MappedSketch is a sketch whose oracle may serve queries directly out of a
-// memory-mapped file (zero-copy: the RR sets alias the mapping, so loads are
-// near-instant and the page cache is shared between processes serving the
-// same sketch). The mapping's lifetime is reference-counted: Close drops the
+// memory-mapped file (zero-copy: the oracle's vertex→RR-set member index, the
+// only structure queries read, aliases the mapping, so a load verifies the
+// file without copying it or allocating anything proportional to it, and
+// the page cache is shared between processes serving the same sketch).
+// Sketches in the read-only version 1 format load onto the heap instead;
+// saving one again converts it. The mapping's lifetime is reference-counted: Close drops the
 // owner reference, and the file is unmapped only after every reference taken
 // with Acquire has been released — the mechanism imserve's hot reload uses
 // to let in-flight queries drain on a replaced sketch.
@@ -500,9 +504,9 @@ type MappedSketch struct {
 	oracle *InfluenceOracle
 }
 
-// OpenSketchFile opens the sketch at path as a MappedSketch. On platforms
-// (or byte orders) without zero-copy support the sketch is decoded onto the
-// heap and the same API degrades to no-ops. The caller must Close the sketch
+// OpenSketchFile opens the sketch at path as a MappedSketch. For version 1
+// files, and on platforms (or byte orders) without zero-copy support, the
+// sketch is decoded onto the heap and the same API degrades to no-ops. The caller must Close the sketch
 // when done; queries that may run concurrently with Close must be bracketed
 // by Acquire/Release.
 func OpenSketchFile(path string) (*MappedSketch, error) {
@@ -784,8 +788,8 @@ func (n *InfluenceNetwork) BuildSketchWithCheckpoint(ctx context.Context, path s
 // what imsketch -info prints. Every section's CRC-32C is verified against the
 // bytes on disk.
 type SketchFileInfo struct {
-	// Path, Size and Version identify the file (version 1 = sketch,
-	// 2 = build checkpoint).
+	// Path, Size and Version identify the file (3 = sketch, 2 = build
+	// checkpoint, 1 = the read-only sketch format of earlier builds).
 	Path    string
 	Size    int64
 	Version int

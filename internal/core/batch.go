@@ -159,7 +159,7 @@ func (o *Oracle) shardCoverage(seeds []graph.VertexID, lo, hi int, sc *batchScra
 	if len(seeds) == 1 {
 		// No dedup needed across a single membership list: each RR set holds
 		// a vertex at most once, matching the serial single-seed fast path.
-		m := o.memberOf[seeds[0]]
+		m := o.members(seeds[0])
 		return int64(lowerBound(m, int32(hi)) - lowerBound(m, int32(lo)))
 	}
 	sc.epoch++
@@ -169,7 +169,7 @@ func (o *Oracle) shardCoverage(seeds []graph.VertexID, lo, hi int, sc *batchScra
 	}
 	var hits int64
 	for _, v := range seeds {
-		m := o.memberOf[v]
+		m := o.members(v)
 		for _, idx := range m[lowerBound(m, int32(lo)):] {
 			if int(idx) >= hi {
 				break
@@ -184,8 +184,7 @@ func (o *Oracle) shardCoverage(seeds []graph.VertexID, lo, hi int, sc *batchScra
 }
 
 // lowerBound returns the first position in the ascending list m whose value
-// is >= bound. Membership lists are built in RR-set order (buildMemberIndex),
-// so they are always sorted.
+// is >= bound. Member lists are strictly ascending (checkMemberIndex).
 func lowerBound(m []int32, bound int32) int {
 	return sort.Search(len(m), func(i int) bool { return m[i] >= bound })
 }

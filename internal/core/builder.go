@@ -191,8 +191,8 @@ func (b *SketchBuilder) AppendBatch(m int) error {
 // store, so even a disk-backed build never materializes every set on the
 // heap. The oracle snapshots the current prefix: the builder can keep
 // appending afterwards without disturbing it, and a later Oracle call returns
-// a fresh, larger snapshot. A store-backed oracle reads through the store,
-// which must therefore outlive it.
+// a fresh, larger snapshot. Only the oracle's RRSet reads through the
+// store, which must stay open for as long as RRSet is called.
 func (b *SketchBuilder) Oracle() (*Oracle, error) {
 	if b.oracle == nil || b.oracleAt != b.store.NumSets() {
 		o, err := NewOracleFromStore(b.ig.NumVertices(), b.model, b.seed, b.store)

@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"imdist/internal/data"
+	"imdist/internal/diffusion"
 	"imdist/internal/estimator"
 	"imdist/internal/graph"
 	"imdist/internal/rng"
@@ -149,6 +151,42 @@ func TestOracleFromRRSets(t *testing.T) {
 	}
 	if _, err := NewOracleFromRRSets(10, o.Model(), 0, [][]graph.VertexID{{0, 12}}); err == nil {
 		t.Error("out-of-range member accepted")
+	}
+	// A set listing a vertex twice would count twice in the vertex's
+	// single-seed coverage.
+	if _, err := NewOracleFromRRSets(4, diffusion.IC, 1, [][]graph.VertexID{{0, 0}, {2}, {3, 1}}); err == nil {
+		t.Error("RR set with a repeated vertex accepted")
+	}
+}
+
+// TestOracleFromMemberIndexValidates feeds NewOracleFromMemberIndex broken
+// CSR indexes; each must be rejected rather than answer queries from it.
+func TestOracleFromMemberIndexValidates(t *testing.T) {
+	cases := []struct {
+		name    string
+		offsets []uint64
+		entries []int32
+	}{
+		{"short offsets", []uint64{0, 1}, []int32{0}},
+		{"nonzero start", []uint64{1, 1, 1}, []int32{0}},
+		{"end past entries", []uint64{0, 1, 3}, []int32{0, 1}},
+		{"decreasing", []uint64{0, 2, 1, 2}, []int32{0, 1}},
+		{"repeated id", []uint64{0, 2, 2, 2}, []int32{1, 1}},
+		{"descending ids", []uint64{0, 2, 2, 2}, []int32{1, 0}},
+		{"negative id", []uint64{0, 1, 1, 1}, []int32{-1}},
+		{"id past R", []uint64{0, 1, 1, 1}, []int32{2}},
+	}
+	for _, c := range cases {
+		if _, err := NewOracleFromMemberIndex(3, diffusion.IC, 0, 2, c.offsets, c.entries); err == nil {
+			t.Errorf("%s: index accepted", c.name)
+		}
+	}
+	o, err := NewOracleFromMemberIndex(3, diffusion.IC, 0, 2, []uint64{0, 2, 2, 3}, []int32{0, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := o.RRSet(1), []graph.VertexID{0, 2}; !slices.Equal(got, want) {
+		t.Errorf("RRSet(1) of a member-index oracle = %v, want %v", got, want)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // byte-identical under either; they trade memory for raw scan speed:
 //
 //   - KernelEpoch walks the int-slice membership lists with an epoch-stamped
-//     mark array — the reference implementation, O(Σ|memberOf[seed]|) random
+//     mark array — the reference implementation, O(Σ|members(seed)|) random
 //     accesses per query and no extra memory.
 //   - KernelBitpack scans a dense bit matrix of RR-set × vertex incidence
 //     ([]uint64 words, cache-blocked to the batch engine's shard size) and
@@ -93,11 +93,10 @@ func PackedIndexBytes(n, numSets int) int64 {
 	return 8 * int64(packedWords(n, numSets, DefaultBatchShardSize))
 }
 
-// newBitMatrix packs the oracle's membership lists. memberOf is already
-// validated and sorted per vertex (buildMemberIndex), so the pack is a single
-// ascending pass per vertex with no store reads — a spill-backed oracle pays
-// no disk traffic here.
-func newBitMatrix(n, numSets, shardSize int, memberOf [][]int32) *bitMatrix {
+// newBitMatrix packs a CSR member index (see Oracle.MemberIndex), already
+// validated and ascending per vertex, in a single pass per vertex with no
+// store reads — a spill-backed oracle pays no disk traffic here.
+func newBitMatrix(n, numSets, shardSize int, offsets []uint64, entries []int32) *bitMatrix {
 	numBlocks := (numSets + shardSize - 1) / shardSize
 	m := &bitMatrix{
 		n:          n,
@@ -113,7 +112,7 @@ func newBitMatrix(n, numSets, shardSize int, memberOf [][]int32) *bitMatrix {
 	}
 	m.words = make([]uint64, m.blockStart[numBlocks])
 	for v := 0; v < n; v++ {
-		for _, idx := range memberOf[v] {
+		for _, idx := range entries[offsets[v]:offsets[v+1]] {
 			b := int(idx) / shardSize
 			off := int(idx) % shardSize
 			m.words[m.blockStart[b]+v*m.blockWords[b]+off/64] |= 1 << (off % 64)
@@ -283,7 +282,7 @@ func decideAutoKernel(n, numSets int, payloadBytes int64) Kernel {
 // packedMatrix returns the packed index, building it on first use.
 func (o *Oracle) packedMatrix() *bitMatrix {
 	o.kernels.packOnce.Do(func() {
-		o.kernels.packed = newBitMatrix(o.n, o.numSets, DefaultBatchShardSize, o.memberOf)
+		o.kernels.packed = newBitMatrix(o.n, o.numSets, DefaultBatchShardSize, o.offsets, o.entries)
 	})
 	return o.kernels.packed
 }

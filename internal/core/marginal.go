@@ -156,7 +156,7 @@ func (c *coverState) add(v graph.VertexID) {
 		c.m.cover(int(v), c.words)
 		return
 	}
-	for _, idx := range c.o.memberOf[v] {
+	for _, idx := range c.o.members(v) {
 		c.sets[idx] = true
 	}
 }
@@ -167,7 +167,7 @@ func (c *coverState) gain(v graph.VertexID) int64 {
 		return c.m.uncovered(int(v), c.words)
 	}
 	var g int64
-	for _, idx := range c.o.memberOf[v] {
+	for _, idx := range c.o.members(v) {
 		if !c.sets[idx] {
 			g++
 		}

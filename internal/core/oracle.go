@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -39,15 +40,20 @@ type Oracle struct {
 	// the oracle when it is serialized (internal/sketchio).
 	model diffusion.Model
 	seed  uint64
-	// memberOf[v] lists the RR set indices containing vertex v.
-	memberOf [][]int32
-	// store holds the RR sets themselves (used for greedy coverage and
-	// serialization). The oracle snapshots numSets at construction; the store
-	// may keep growing underneath (SketchBuilder appends), but indices below
-	// numSets are immutable, so the snapshot stays coherent. payloadBytes is
-	// the snapshot's exact encoded record size.
-	store        RRStore
-	payloadBytes int64
+	// offsets and entries are the vertex→RR-set member index in CSR form
+	// (compressed sparse rows): vertex v's RR-set ids are
+	// entries[offsets[v]:offsets[v+1]], strictly ascending. Every query reads
+	// only this index (and the packed matrix derived from it); a sketch
+	// loaded by sketchio.OpenMapped aliases both arrays into the file mapping.
+	offsets []uint64
+	entries []int32
+	// store holds the RR sets themselves, for RRSet. An oracle built from a
+	// store snapshots numSets at construction; the store may keep growing
+	// underneath (SketchBuilder appends), but indices below numSets are
+	// immutable, so the snapshot stays coherent. An oracle built from a
+	// member index has no store until RRSet first transposes the index.
+	store     RRStore
+	storeOnce sync.Once
 	// shard records this oracle's place in a partitioned fleet (zero value
 	// for whole sketches); it travels with the oracle when serialized.
 	shard ShardLineage
@@ -187,77 +193,144 @@ func NewOracleParallelSeeded(ig *graph.InfluenceGraph, model diffusion.Model, nu
 }
 
 // NewOracleFromRRSets reassembles an oracle from previously generated RR sets
-// (the deserialization path of internal/sketchio). It validates every vertex
-// id against [0, n) so that a corrupted or hostile sketch cannot induce
-// out-of-bounds indexing, and takes ownership of rrSets.
+// (the v1 deserialization path of internal/sketchio). It validates every
+// vertex id against [0, n), and rejects a set that lists a vertex twice, so
+// that a corrupted or hostile sketch cannot induce out-of-bounds indexing or
+// miscounted coverage; it takes ownership of rrSets.
 func NewOracleFromRRSets(n int, model diffusion.Model, seed uint64, rrSets [][]graph.VertexID) (*Oracle, error) {
 	return NewOracleFromStore(n, model, seed, NewMemStore(rrSets))
 }
 
 // NewOracleFromStore finalizes the RR sets held by store into a queryable
-// oracle: the member index is built by streaming over the store in one pass,
-// so a disk-backed store never has to materialize every set on the heap at
-// once. The oracle snapshots the store's current size; appending to the store
+// oracle: the member index is built by streaming over the store, so a
+// disk-backed store never has to materialize every set on the heap at once.
+// The oracle snapshots the store's current size; appending to the store
 // afterwards (a SketchBuilder growing past an ErrorBound check) does not
 // disturb it. Every vertex id is validated against [0, n) during the
-// streaming pass — stores may be rehydrated from untrusted files — and the
-// oracle reads through the store for as long as it lives, so the store must
-// not be closed before the oracle is done.
+// streaming pass — stores may be rehydrated from untrusted files. Only RRSet
+// reads through the store after construction, so the store must stay open
+// for as long as RRSet is called.
 func NewOracleFromStore(n int, model diffusion.Model, seed uint64, store RRStore) (*Oracle, error) {
 	if n < 1 {
 		return nil, ErrEmptyGraph
 	}
 	numSets := store.NumSets()
-	if numSets < 1 {
-		return nil, fmt.Errorf("core: oracle needs at least one RR set, got %d", numSets)
+	offsets, entries, err := transposeStore(n, numSets, store)
+	if err != nil {
+		return nil, err
+	}
+	o, err := NewOracleFromMemberIndex(n, model, seed, numSets, offsets, entries)
+	if err != nil {
+		return nil, err
+	}
+	o.store = store
+	return o, nil
+}
+
+// NewOracleFromMemberIndex wraps a CSR member index — vertex v's RR-set ids
+// are entries[offsets[v]:offsets[v+1]] — as an oracle over numSets RR sets.
+// Every construction path ends here, so the index is validated here: n+1
+// offsets from 0 that never decrease and end at len(entries), and per-vertex
+// ids strictly ascending in [0, numSets). The oracle keeps both slices
+// without copying (sketchio aliases them into a file mapping), and they must
+// not be modified afterwards.
+func NewOracleFromMemberIndex(n int, model diffusion.Model, seed uint64, numSets int, offsets []uint64, entries []int32) (*Oracle, error) {
+	if n < 1 {
+		return nil, ErrEmptyGraph
+	}
+	if numSets < 1 || numSets > math.MaxInt32 {
+		return nil, fmt.Errorf("core: RR-set count %d outside [1, 2^31)", numSets)
+	}
+	if err := checkMemberIndex(n, numSets, offsets, entries); err != nil {
+		return nil, err
 	}
 	o := &Oracle{
 		n:       n,
 		numSets: numSets,
 		model:   model,
 		seed:    seed,
-		store:   store,
+		offsets: offsets,
+		entries: entries,
 	}
-	if err := o.buildMemberIndex(); err != nil {
-		return nil, err
-	}
-	o.kernels.bitpack.Store(decideAutoKernel(n, numSets, o.payloadBytes) == KernelBitpack)
+	o.kernels.bitpack.Store(decideAutoKernel(n, numSets, o.PayloadBytes()) == KernelBitpack)
 	return o, nil
 }
 
-// buildMemberIndex derives memberOf by streaming the store twice: a counting
-// pass (which also validates every vertex id) sizes the lists exactly, then a
-// fill pass populates them. Membership lists are built in RR-set order, so two
-// oracles over identical RR sets answer every query identically regardless of
-// how — or from which store — they were constructed.
-func (o *Oracle) buildMemberIndex() error {
-	counts := make([]int32, o.n)
-	err := o.store.ForEach(0, o.numSets, func(i int, set []graph.VertexID) error {
+// transposeStore builds the CSR member index of the first numSets sets of
+// store in two streaming passes: a counting pass (which also validates every
+// vertex id against [0, n)) sizes each vertex's list, then a fill pass writes
+// the set ids. Lists fill in RR-set order, so two oracles over identical RR
+// sets answer every query identically regardless of how — or from which
+// store — they were constructed.
+func transposeStore(n, numSets int, store RRStore) ([]uint64, []int32, error) {
+	offsets := make([]uint64, n+1)
+	err := store.ForEach(0, numSets, func(i int, set []graph.VertexID) error {
 		for _, v := range set {
-			if v < 0 || int(v) >= o.n {
-				return fmt.Errorf("core: RR set %d contains vertex %d outside [0, %d)", i, v, o.n)
+			if v < 0 || int(v) >= n {
+				return fmt.Errorf("core: RR set %d contains vertex %d outside [0, %d)", i, v, n)
 			}
-			counts[v]++
+			offsets[v+1]++
 		}
-		o.payloadBytes += 4 + 4*int64(len(set))
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	o.memberOf = make([][]int32, o.n)
-	for v := range o.memberOf {
-		if counts[v] > 0 {
-			o.memberOf[v] = make([]int32, 0, counts[v])
-		}
+	for v := range n {
+		offsets[v+1] += offsets[v]
 	}
-	return o.store.ForEach(0, o.numSets, func(i int, set []graph.VertexID) error {
+	// offsets[v] is now the start of v's list and serves as its fill
+	// cursor, ending at the start of v+1's; shifting by one restores it.
+	entries := make([]int32, offsets[n])
+	err = store.ForEach(0, numSets, func(i int, set []graph.VertexID) error {
 		for _, v := range set {
-			o.memberOf[v] = append(o.memberOf[v], int32(i))
+			entries[offsets[v]] = int32(i)
+			offsets[v]++
 		}
 		return nil
 	})
+	copy(offsets[1:], offsets[:n])
+	offsets[0] = 0
+	return offsets, entries, err
 }
+
+// checkMemberIndex verifies a CSR member index in one pass over it. Strictly
+// ascending lists also reject an RR set that lists a vertex twice, which
+// every coverage path assumes cannot happen: the single-vertex count is a
+// list length, and the batch engine counts a range of a list.
+func checkMemberIndex(n, numSets int, offsets []uint64, entries []int32) error {
+	if len(offsets) != n+1 || offsets[0] != 0 || offsets[n] != uint64(len(entries)) {
+		return fmt.Errorf("core: member index offsets must be %d values from 0 to %d", n+1, len(entries))
+	}
+	for v := range n {
+		lo, hi := offsets[v], offsets[v+1]
+		if hi < lo || hi > uint64(len(entries)) {
+			return fmt.Errorf("core: member list of vertex %d spans [%d, %d) outside [%d, %d]", v, lo, hi, lo, len(entries))
+		}
+		prev := int32(-1)
+		for _, id := range entries[lo:hi] {
+			if id <= prev || int(id) >= numSets {
+				if id == prev {
+					return fmt.Errorf("core: RR set %d lists vertex %d twice", id, v)
+				}
+				return fmt.Errorf("core: member list of vertex %d has RR set %d after %d, want strictly ascending ids in [0, %d)", v, id, prev, numSets)
+			}
+			prev = id
+		}
+	}
+	return nil
+}
+
+// members returns the ascending ids of the RR sets containing v.
+func (o *Oracle) members(v graph.VertexID) []int32 {
+	return o.entries[o.offsets[v]:o.offsets[v+1]]
+}
+
+// MemberIndex returns the oracle's member index in CSR form: vertex v's
+// RR-set ids are entries[offsets[v]:offsets[v+1]], strictly ascending. Both
+// slices belong to the oracle (and may alias a file mapping, under the same
+// lifetime rules as queries); callers must not modify them.
+func (o *Oracle) MemberIndex() (offsets []uint64, entries []int32) { return o.offsets, o.entries }
 
 // NumSets returns the number of RR sets backing the oracle.
 func (o *Oracle) NumSets() int { return o.numSets }
@@ -273,19 +346,49 @@ func (o *Oracle) Model() diffusion.Model { return o.model }
 func (o *Oracle) BuildSeed() uint64 { return o.seed }
 
 // RRSet returns the vertices of RR set i. The returned slice is owned by the
-// oracle's store and must not be modified; a spill-backed oracle may decode
-// it on demand, so prefer ascending-index access for sequential scans.
-func (o *Oracle) RRSet(i int) []graph.VertexID { return o.store.Set(i) }
+// oracle and must not be modified. An oracle built from a store reads
+// through it (a spill-backed store may decode the set on demand, so prefer
+// ascending-index access for sequential scans). An oracle built from a member
+// index transposes the whole index onto the heap on the first call, and its
+// sets list their vertices in ascending order.
+func (o *Oracle) RRSet(i int) []graph.VertexID {
+	o.storeOnce.Do(func() {
+		if o.store == nil {
+			o.store = NewMemStore(o.transposeIndex())
+		}
+	})
+	return o.store.Set(i)
+}
+
+// transposeIndex rebuilds the RR sets from the member index.
+func (o *Oracle) transposeIndex() [][]graph.VertexID {
+	bounds := make([]int, o.numSets+1)
+	for _, id := range o.entries {
+		bounds[id+1]++
+	}
+	for i := range o.numSets {
+		bounds[i+1] += bounds[i]
+	}
+	flat := make([]graph.VertexID, len(o.entries))
+	next := slices.Clone(bounds[:o.numSets])
+	for v := range o.n {
+		for _, id := range o.members(graph.VertexID(v)) {
+			flat[next[id]] = graph.VertexID(v)
+			next[id]++
+		}
+	}
+	sets := make([][]graph.VertexID, o.numSets)
+	for i := range sets {
+		sets[i] = flat[bounds[i]:bounds[i+1]:bounds[i+1]]
+	}
+	return sets
+}
 
 // PayloadBytes returns the exact encoded size in bytes of the oracle's RR
 // sets in the shared record format (4-byte count plus 4 bytes per vertex,
-// per set) — what serialization needs to size a sketch header without an
-// extra pass over a disk-backed store. It covers exactly the oracle's
-// snapshot, even when the shared store has grown past it since.
-func (o *Oracle) PayloadBytes() int64 { return o.payloadBytes }
-
-// Store returns the RR-set store backing the oracle (read-only use).
-func (o *Oracle) Store() RRStore { return o.store }
+// per set): 4 bytes per RR set plus 4 per member-index entry. The auto kernel
+// policy weighs the packed index against it.
+func (o *Oracle) PayloadBytes() int64 { return 4*int64(o.numSets) + 4*int64(len(o.entries)) }
 
 // ShardLineage returns the oracle's place in a partitioned fleet; the zero
 // value (Count 0) means the oracle is a whole, unsplit sketch.
@@ -401,7 +504,8 @@ func (o *Oracle) coverageOf(seeds []graph.VertexID) int64 {
 	if len(seeds) == 1 {
 		// Fast path used heavily by Table 4 and the per-vertex rankings; both
 		// kernels count a single vertex's coverage as its membership length.
-		return int64(len(o.memberOf[seeds[0]]))
+		v := seeds[0]
+		return int64(o.offsets[v+1] - o.offsets[v])
 	}
 	if o.useBitpack() {
 		return o.bitpackCoverage(seeds)
@@ -409,7 +513,7 @@ func (o *Oracle) coverageOf(seeds []graph.VertexID) int64 {
 	s := o.getInfluenceScratch()
 	var hit int64
 	for _, v := range seeds {
-		for _, idx := range o.memberOf[v] {
+		for _, idx := range o.members(v) {
 			if s.marks[idx] != s.epoch {
 				s.marks[idx] = s.epoch
 				hit++
@@ -455,8 +559,8 @@ func (o *Oracle) GreedyCoverage(k int) ([]graph.VertexID, int64) {
 // number of RR sets containing it), indexed by vertex id.
 func (o *Oracle) VertexCoverage() []int64 {
 	counts := make([]int64, o.n)
-	for v, sets := range o.memberOf {
-		counts[v] = int64(len(sets))
+	for v := range counts {
+		counts[v] = int64(o.offsets[v+1] - o.offsets[v])
 	}
 	return counts
 }

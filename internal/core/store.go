@@ -52,9 +52,9 @@ type StoreStats struct {
 	// Sets is the number of RR sets held.
 	Sets int
 	// PayloadBytes is the exact encoded size of all sets in the shared
-	// record format (4-byte count + 4 bytes per vertex, per set) — the v1
-	// sketch payload size, which lets finalize size its header without an
-	// extra pass over the data.
+	// record format (4-byte count + 4 bytes per vertex, per set) — the
+	// payload size of a checkpoint segment, which lets WriteCheckpoint size
+	// its segment header without an extra pass over the data.
 	PayloadBytes int64
 	// MemBytes approximates the decoded bytes resident on the heap (all sets
 	// for MemStore, the cached working set for a spill store).

@@ -162,9 +162,10 @@ func (r *Registry) Register(name string, oracle *core.Oracle) error {
 }
 
 // LoadFile loads the sketch file at path under name, replacing any sketch
-// already held under it. The file is memory-mapped (and served zero-copy)
-// where the platform supports it; the previous mapping, if any, is unmapped
-// once its last in-flight query finishes.
+// already held under it. The file is memory-mapped and served zero-copy
+// where its format and the platform allow (sketchio.OpenMapped); the
+// previous mapping, if any, is unmapped once its last in-flight query
+// finishes.
 func (r *Registry) LoadFile(name, path string) error {
 	if err := validateSketchName(name); err != nil {
 		return err

@@ -3,18 +3,21 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"imdist/internal/core"
 	"imdist/internal/data"
 	"imdist/internal/diffusion"
+	"imdist/internal/graph"
 	"imdist/internal/sketchio"
 	"imdist/internal/workload"
 )
@@ -392,14 +395,17 @@ func TestSeedsSingleFlight(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedSketchesWithReload is the acceptance test for the
-// registry: two memory-mapped sketches serve interleaved influence / batch /
-// seeds / top traffic from many goroutines while one goroutine hot-reloads
-// both sketches over and over through the admin endpoint. Every answer must
-// equal the per-oracle ground truth (reloads swap in byte-identical files),
-// and under -race plus the sketchio refcounting no query may touch an
-// unmapped sketch.
-func TestConcurrentMixedSketchesWithReload(t *testing.T) {
+// TestConcurrentMixedSketchesReloadMidFlight is the acceptance test for the
+// registry. Two memory-mapped sketches serve interleaved traffic on every
+// route that reads a sketch — influence, batch, seeds, top, both shard
+// primitives and the sketch list — from many goroutines, first while one
+// goroutine hot-reloads both sketches over and over through the admin
+// endpoint, then while one of them is unloaded. Every answer must equal the
+// per-oracle ground truth (reloads swap in byte-identical files) or, once its
+// sketch is unloaded, be a 404. Queries read the member index straight out
+// of the mapping, so a route that skipped its query reference would read
+// unmapped memory and crash the test binary.
+func TestConcurrentMixedSketchesReloadMidFlight(t *testing.T) {
 	ic := testOracle(t, diffusion.IC, 20000, 7)
 	lt := testOracle(t, diffusion.LT, 10000, 11)
 	icPath, ltPath := sketchFile(t, ic), sketchFile(t, lt)
@@ -417,38 +423,105 @@ func TestConcurrentMixedSketchesWithReload(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	type ground struct {
-		name     string
-		infBody  string
-		inf      float64
-		batch    string
-		batchInf []float64
-		seedsInf float64
-		topInf   []float64
-	}
-	truth := make([]ground, 0, 2)
-	for name, oracle := range map[string]*core.Oracle{"ic": ic, "lt": lt} {
-		g := ground{name: name, infBody: `{"seeds":[0,33]}`, batch: `[{"seeds":[0]},{"seeds":[1,2]},{"seeds":[32,33]}]`}
-		var err error
-		if g.inf, err = oracle.Influence(CanonicalSeeds([]int{0, 33})); err != nil {
+	// Each route's request, and the exact body the oracle's answer encodes
+	// to (the list of sketches is only checked to decode: its cache counters
+	// move with the traffic).
+	type call struct{ method, path, body, want string }
+	encode := func(v any) string {
+		raw, err := json.Marshal(v)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, seeds := range [][]int{{0}, {1, 2}, {32, 33}} {
+		return string(raw)
+	}
+	calls := map[string][]call{}
+	for name, oracle := range map[string]*core.Oracle{"ic": ic, "lt": lt} {
+		influence := func(seeds ...int) float64 {
 			inf, err := oracle.Influence(CanonicalSeeds(seeds))
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.batchInf = append(g.batchInf, inf)
+			return inf
 		}
-		if g.seedsInf, err = oracle.Influence(oracle.GreedySeeds(3)); err != nil {
+		ci := oracle.ConfidenceHalfWidth(2.576)
+		var batch []BatchItem
+		for _, seeds := range [][]int{{0}, {1, 2}, {32, 33}} {
+			batch = append(batch, BatchItem{InfluenceResponse: &InfluenceResponse{Influence: influence(seeds...), CI99: ci, Seeds: len(seeds)}})
+		}
+		greedy := oracle.GreedySeeds(3)
+		seeds := make([]int, len(greedy))
+		for i, v := range greedy {
+			seeds[i] = int(v)
+		}
+		topV, topInf := oracle.TopSingleVertices(4)
+		top := TopResponse{Influences: topInf}
+		for _, v := range topV {
+			top.Vertices = append(top.Vertices, int(v))
+		}
+		var counts []int64
+		for _, seeds := range [][]graph.VertexID{{0}, {1, 2}} {
+			c, err := oracle.Coverage(seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts = append(counts, c)
+		}
+		gains, err := oracle.MarginalCoverage([]graph.VertexID{0}, []graph.VertexID{33, 5})
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, g.topInf = oracle.TopSingleVertices(4)
-		truth = append(truth, g)
+		base := "/v1/sketches/" + name
+		calls[name] = []call{
+			{"POST", base + "/influence", `{"seeds":[0,33]}`, encode(InfluenceResponse{Influence: influence(0, 33), CI99: ci, Seeds: 2})},
+			{"POST", base + "/influence:batch", `[{"seeds":[0]},{"seeds":[1,2]},{"seeds":[32,33]}]`, encode(batch)},
+			{"POST", base + "/seeds", `{"k":3}`, encode(SeedsResponse{Seeds: seeds, Influence: influence(seeds...)})},
+			{"GET", base + "/top?k=4", "", encode(top)},
+			{"POST", base + "/shard/coverage", `{"seed_sets":[[0],[1,2]]}`, encode(ShardCoverageResponse{ShardIdentity: shardIdentity(oracle), Counts: counts})},
+			{"POST", base + "/shard/marginal", `{"seeds":[0],"candidates":[33,5]}`, encode(ShardMarginalResponse{ShardIdentity: shardIdentity(oracle), Gains: gains})},
+			{"GET", "/v1/sketches", "", ""},
+		}
+	}
+	// run sends c and reports a wrong answer; a 404 counts as correct only
+	// when allowGone. It returns the status, or 0 after a failure.
+	run := func(client *http.Client, c call, allowGone bool) int {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch {
+		case err != nil:
+			t.Errorf("%s %s: %v", c.method, c.path, err)
+		case resp.StatusCode == http.StatusNotFound && allowGone:
+			return resp.StatusCode
+		case resp.StatusCode != http.StatusOK:
+			t.Errorf("%s %s: status %d: %s", c.method, c.path, resp.StatusCode, raw)
+		case c.want == "":
+			var list struct {
+				Sketches []sketchInfo `json:"sketches"`
+			}
+			if err := json.Unmarshal(raw, &list); err != nil {
+				t.Errorf("GET %s: %s: %v", c.path, raw, err)
+				return 0
+			}
+			return resp.StatusCode
+		case strings.TrimSpace(string(raw)) != c.want:
+			t.Errorf("%s %s = %s, want %s", c.method, c.path, raw, c.want)
+		default:
+			return resp.StatusCode
+		}
+		return 0
 	}
 
 	const goroutines = 12
-	const iters = 40
+	const iters = 42
 	var queries, reloads sync.WaitGroup
 	stopReload := make(chan struct{})
 
@@ -483,73 +556,86 @@ func TestConcurrentMixedSketchesWithReload(t *testing.T) {
 		}
 	}()
 
+	names := []string{"ic", "lt"}
 	for g := 0; g < goroutines; g++ {
 		queries.Add(1)
 		go func(g int) {
 			defer queries.Done()
 			client := ts.Client()
 			for i := 0; i < iters; i++ {
-				gt := truth[(g+i)%len(truth)]
-				base := ts.URL + "/v1/sketches/" + gt.name
-				switch i % 4 {
-				case 0:
-					status, raw := postJSON(t, base+"/influence", gt.infBody)
-					var got InfluenceResponse
-					if status != http.StatusOK || json.Unmarshal(raw, &got) != nil || got.Influence != gt.inf {
-						t.Errorf("%s influence = %s (status %d), want %v", gt.name, raw, status, gt.inf)
-						return
-					}
-				case 1:
-					status, raw := postJSON(t, base+"/influence:batch", gt.batch)
-					var items []struct {
-						Influence float64 `json:"influence"`
-						Error     string  `json:"error"`
-					}
-					if status != http.StatusOK || json.Unmarshal(raw, &items) != nil || len(items) != len(gt.batchInf) {
-						t.Errorf("%s batch = %s (status %d)", gt.name, raw, status)
-						return
-					}
-					for j := range items {
-						if items[j].Error != "" || items[j].Influence != gt.batchInf[j] {
-							t.Errorf("%s batch item %d = %+v, want %v", gt.name, j, items[j], gt.batchInf[j])
-							return
-						}
-					}
-				case 2:
-					status, raw := postJSON(t, base+"/seeds", `{"k":3}`)
-					var got SeedsResponse
-					if status != http.StatusOK || json.Unmarshal(raw, &got) != nil || got.Influence != gt.seedsInf {
-						t.Errorf("%s seeds = %s (status %d), want %v", gt.name, raw, status, gt.seedsInf)
-						return
-					}
-				case 3:
-					resp, err := client.Get(base + "/top?k=4")
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					var got TopResponse
-					err = json.NewDecoder(resp.Body).Decode(&got)
-					resp.Body.Close()
-					if err != nil || !reflect.DeepEqual(got.Influences, gt.topInf) {
-						t.Errorf("%s top = %v (err %v), want %v", gt.name, got.Influences, err, gt.topInf)
-						return
-					}
+				cs := calls[names[(g+i)%len(names)]]
+				if run(client, cs[i%len(cs)], false) == 0 {
+					return
 				}
 			}
 		}(g)
 	}
-
-	// Let queries finish, then stop the reloader.
-	done := make(chan struct{})
-	go func() { queries.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatal("mixed-sketch load test timed out")
+	waitOrFail := func(wg *sync.WaitGroup, what string) {
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("%s timed out", what)
+		}
 	}
+	waitOrFail(&queries, "mixed-sketch traffic under reloads")
 	close(stopReload)
 	reloads.Wait()
+
+	// Unload ic while every route queries it: each goroutine cycles the
+	// routes until a route of ic answers 404, and the unload is sent once
+	// the first answers are in.
+	var answered atomic.Int32
+	warm := make(chan struct{})
+	var warmOnce sync.Once
+	for g := 0; g < goroutines; g++ {
+		queries.Add(1)
+		go func(g int) {
+			defer queries.Done()
+			client := ts.Client()
+			cs := calls["ic"]
+			for i := g; i < g+10000; i++ {
+				c := cs[i%len(cs)]
+				status := run(client, c, true)
+				if status == 0 {
+					return
+				}
+				if answered.Add(1) == goroutines {
+					warmOnce.Do(func() { close(warm) })
+				}
+				if status == http.StatusNotFound {
+					return
+				}
+			}
+			t.Error("ic still answered 10000 requests after its unload was sent")
+		}(g)
+	}
+	select {
+	case <-warm:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("no answers before the unload")
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/sketches/ic", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("unload ic: status %d", resp.StatusCode)
+	}
+	waitOrFail(&queries, "traffic during the unload")
+
+	// lt is untouched by the unload and still answers on every route.
+	for _, c := range calls["lt"] {
+		if run(ts.Client(), c, false) == 0 {
+			break
+		}
+	}
 }
 
 func TestRegistryRejectsBadNames(t *testing.T) {

@@ -19,11 +19,11 @@ import (
 // # Checkpoint format (version 2, little endian)
 //
 // A checkpoint persists the state of an incremental build
-// (core.SketchBuilder) so it can resume after a crash or restart. Unlike the
-// v1 sketch format — whose header bakes in the final RR-set count, so the
-// file can only be written once the build is done — a checkpoint is
-// append-only: a fixed header followed by any number of self-contained
-// segments, each carrying its own CRC-32C:
+// (core.SketchBuilder) so it can resume after a crash or restart. Unlike a
+// sketch — whose header bakes in the final RR-set count and whose member
+// index can only be written once the build is done — a checkpoint is
+// append-only and set-major: a fixed header followed by any number of
+// self-contained segments of RR-set records, each carrying its own CRC-32C:
 //
 //	header (40 bytes):
 //	offset  size  field
@@ -41,15 +41,15 @@ import (
 //	4       4     reserved (0)
 //	8       8     RR-set count of this segment
 //	16      8     payload length in bytes
-//	24      ...   records, exactly as in the v1 payload
+//	24      ...   records: uint32 count, then count × int32 vertex ids
 //	24+len  4     CRC-32C of the segment header + payload
 //
 // Because a builder's RR-set sequence is pinned by (seed, index), a
 // checkpoint only has to persist a prefix of that sequence: a torn final
 // segment (crash mid-append) is simply truncated away on the next
 // OpenCheckpoint and its sets are regenerated — deterministically identical —
-// by the resumed build. The v1 reader is unchanged; finished sketches are
-// still served from v1 files.
+// by the resumed build. Finished sketches are written as version 3 files
+// (see the package documentation).
 
 // CheckpointVersion is the on-disk version of the append-only checkpoint
 // format.

@@ -3,7 +3,9 @@ package sketchio
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -52,7 +54,7 @@ func setsRange(t testing.TB, b *core.SketchBuilder, from, to int) [][]graph.Vert
 	return sets
 }
 
-// encodeOracle renders a builder's finished sketch as v1 bytes — the
+// encodeOracle renders a builder's finished sketch as sketch bytes — the
 // byte-identity yardstick of the acceptance criteria.
 func encodeOracle(t testing.TB, o *core.Oracle) []byte {
 	t.Helper()
@@ -192,9 +194,9 @@ func TestReadCheckpointRejectsDamage(t *testing.T) {
 	if _, _, err := ReadCheckpoint(bytes.NewReader(flipped)); !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bit-flipped checkpoint: err = %v, want checksum/corrupt", err)
 	}
-	v1 := encodeOracle(t, mustSmallOracle(t))
-	if _, _, err := ReadCheckpoint(bytes.NewReader(v1)); !errors.Is(err, ErrVersion) {
-		t.Errorf("v1 sketch as checkpoint: err = %v, want ErrVersion", err)
+	sketch := encodeOracle(t, mustSmallOracle(t))
+	if _, _, err := ReadCheckpoint(bytes.NewReader(sketch)); !errors.Is(err, ErrVersion) {
+		t.Errorf("sketch as checkpoint: err = %v, want ErrVersion", err)
 	}
 }
 
@@ -385,33 +387,46 @@ func TestBuildWithCheckpointResumes(t *testing.T) {
 
 func TestInspectV1AndV2(t *testing.T) {
 	dir := t.TempDir()
-
-	// v1 sketch: header + payload + checksum, all OK.
 	o := mustSmallOracle(t)
+	checkSketch := func(path string, version int, names ...string) {
+		t.Helper()
+		info, err := Inspect(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Corrupt || info.Version != version || info.NumSets != 50 {
+			t.Fatalf("v%d inspect = %+v", version, info)
+		}
+		var got []string
+		var total int64
+		for _, s := range info.Sections {
+			if !s.OK {
+				t.Errorf("v%d section %s not OK: %s", version, s.Name, s.Detail)
+			}
+			got = append(got, s.Name)
+			total += s.Size
+		}
+		if !reflect.DeepEqual(got, names) {
+			t.Errorf("v%d sections = %v, want %v", version, got, names)
+		}
+		if total != info.Size {
+			t.Errorf("v%d section sizes sum to %d, file is %d", version, total, info.Size)
+		}
+	}
+
+	// v3 sketch: header, offsets, entries, checksum.
 	sketchPath := filepath.Join(dir, "k.sketch")
 	if err := WriteFile(sketchPath, o); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Inspect(sketchPath)
-	if err != nil {
+	checkSketch(sketchPath, Version, "header", "offsets", "entries", "checksum")
+
+	// Read-only v1 sketch: header, payload, checksum.
+	v1Path := filepath.Join(dir, "k1.sketch")
+	if err := os.WriteFile(v1Path, encodeV1(t, o), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if info.Corrupt || info.Version != Version || info.NumSets != 50 {
-		t.Fatalf("v1 inspect = %+v", info)
-	}
-	if len(info.Sections) != 3 {
-		t.Fatalf("v1 sections = %d, want 3 (header, payload, checksum)", len(info.Sections))
-	}
-	var total int64
-	for _, s := range info.Sections {
-		if !s.OK {
-			t.Errorf("section %s not OK: %s", s.Name, s.Detail)
-		}
-		total += s.Size
-	}
-	if total != info.Size {
-		t.Errorf("section sizes sum to %d, file is %d", total, info.Size)
-	}
+	checkSketch(v1Path, versionV1, "header", "payload", "checksum")
 
 	// v2 checkpoint with two segments.
 	ig := karateGraph(t)
@@ -429,7 +444,7 @@ func TestInspectV1AndV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp.Close()
-	info, err = Inspect(ckptPath)
+	info, err := Inspect(ckptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,6 +477,19 @@ func TestInspectReportsCorruption(t *testing.T) {
 	}
 	if !info.Corrupt {
 		t.Fatal("bit-flipped sketch not reported corrupt")
+	}
+
+	// A header claiming 2^31-1 vertices over a short file fails at the
+	// offsets section, before anything the size of the claim is allocated.
+	binary.LittleEndian.PutUint64(raw[16:], math.MaxInt32)
+	if err := os.WriteFile(path, raw[:headerLen+100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if info, err = Inspect(path); err != nil {
+		t.Fatal(err)
+	}
+	if !info.Corrupt || len(info.Sections) != 2 || info.Sections[1].Name != "offsets" || info.Sections[1].OK {
+		t.Fatalf("sketch claiming 2^31-1 vertices: sections %+v", info.Sections)
 	}
 
 	// Not a sketch at all (long enough to reach the magic check).

@@ -23,8 +23,8 @@ type SectionInfo struct {
 	// header).
 	Sets int
 	// CRC is the stored CRC-32C guarding the section, when it has one: the
-	// file-trailing checksum for a v1 payload, the per-segment checksum for a
-	// v2 segment.
+	// file-trailing checksum of a sketch, the per-segment checksum of a v2
+	// segment.
 	CRC uint32
 	// OK reports whether the section decoded cleanly and its checksum (if
 	// any) matched the bytes on disk.
@@ -51,11 +51,14 @@ type FileInfo struct {
 
 // Inspect verifies the file at path section by section — structure and
 // CRC-32C both — and reports per-section extents without materializing an
-// oracle. It understands v1 sketches (header, payload, trailing checksum) and
-// v2 checkpoints (header plus CRC-framed segments). Damage is reported in the
-// returned FileInfo, not as an error: only an unopenable file or one whose
-// header is too broken to classify (wrong magic, unknown version, short
-// header) returns an error.
+// oracle. It understands version 3 sketches (header, offsets, entries,
+// trailing checksum), read-only version 1 sketches (header, payload, trailing
+// checksum) — either with a lineage section after the header when sharded —
+// and v2 checkpoints (header plus CRC-framed segments). Memory stays O(n)
+// for a sketch (the offsets section) and O(record) for a checkpoint. Damage
+// is reported in the returned FileInfo, not as an error: only an unopenable
+// file or one whose header is too broken to classify (wrong magic, unknown
+// version, short header) returns an error.
 func Inspect(path string) (*FileInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -78,16 +81,13 @@ func Inspect(path string) (*FileInfo, error) {
 	}
 	info.Version = int(binary.LittleEndian.Uint16(hdr[4:]))
 	switch info.Version {
-	case Version:
-		err = inspectV1(br, hdr, info)
+	case Version, versionV1:
+		inspectSketch(br, hdr, info)
 	case CheckpointVersion:
-		err = inspectV2(br, hdr, info)
+		inspectV2(br, hdr, info)
 	default:
-		return nil, fmt.Errorf("%w: got %d, support %d (sketch) and %d (checkpoint)",
-			ErrVersion, info.Version, Version, CheckpointVersion)
-	}
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: got %d, support %d and %d (sketch) and %d (checkpoint)",
+			ErrVersion, info.Version, Version, versionV1, CheckpointVersion)
 	}
 	for _, s := range info.Sections {
 		if !s.OK {
@@ -97,85 +97,142 @@ func Inspect(path string) (*FileInfo, error) {
 	return info, nil
 }
 
-// inspectV1 walks a v1 sketch: one payload of records covered, together with
-// the header, by a single trailing CRC-32C.
-func inspectV1(br *bufio.Reader, hdr []byte, info *FileInfo) error {
+// inspectSketch walks a version 1 or 3 sketch, whose sections are all
+// covered by a single trailing CRC-32C. It stops at the first section that
+// fails, since the ones after it cannot be delimited.
+func inspectSketch(br *bufio.Reader, hdr []byte, info *FileInfo) {
 	crc := crc32.New(castagnoliTab)
 	crc.Write(hdr)
-
-	headerSection := SectionInfo{Name: "header", Offset: 0, Size: headerLen, OK: true}
-	h, err := parseHeader(hdr)
-	if err != nil {
-		headerSection.OK = false
-		headerSection.Detail = err.Error()
-		info.Sections = append(info.Sections, headerSection)
-		return nil
-	}
-	info.Meta = CheckpointMeta{Model: h.model, Seed: h.seed, N: h.n}
-	info.Sections = append(info.Sections, headerSection)
-
-	payloadOff := int64(headerLen)
-	if h.sharded {
-		sec := SectionInfo{Name: "lineage", Offset: headerLen, Size: lineageLen}
-		ext := make([]byte, lineageLen)
-		if _, err := io.ReadFull(io.TeeReader(br, crc), ext); err != nil {
-			sec.Detail = readErr(err).Error()
-			info.Sections = append(info.Sections, sec)
-			return nil
-		}
-		shard, err := parseLineage(ext)
+	tee := io.TeeReader(br, crc)
+	add := func(sec SectionInfo, err error) bool {
 		if err != nil {
 			sec.Detail = err.Error()
-			info.Sections = append(info.Sections, sec)
-			return nil
 		}
-		info.Shard = shard
-		sec.OK = true
+		sec.OK = err == nil
 		info.Sections = append(info.Sections, sec)
-		payloadOff += lineageLen
+		return sec.OK
 	}
 
-	payload := SectionInfo{Name: "payload", Offset: payloadOff, Size: int64(h.payloadLen)}
-	// Validate-and-discard (nil arena): -info must verify multi-GB sketches
-	// without materializing their RR sets.
-	if _, err := readRecords(io.TeeReader(br, crc), h.n, h.numSets, h.payloadLen, nil); err != nil {
-		payload.Detail = err.Error()
-		info.Sections = append(info.Sections, payload)
-		return nil
+	h, err := parseHeader(hdr)
+	if !add(SectionInfo{Name: "header", Size: headerLen}, err) {
+		return
 	}
-	payload.OK = true
-	payload.Sets = h.numSets
+	info.Meta = CheckpointMeta{Model: h.model, Seed: h.seed, N: h.n}
+	off := int64(headerLen)
+	if h.sharded {
+		ext := make([]byte, lineageLen)
+		_, err := io.ReadFull(tee, ext)
+		if err == nil {
+			info.Shard, err = parseLineage(ext)
+		}
+		if !add(SectionInfo{Name: "lineage", Offset: off, Size: lineageLen}, readErr(err)) {
+			return
+		}
+		off += lineageLen
+	}
+
+	if h.version == versionV1 {
+		// Validate-and-discard (nil arena): multi-GB sketches verify without
+		// materializing their RR sets.
+		_, err := readRecords(tee, h.n, h.numSets, h.count, nil)
+		if !add(SectionInfo{Name: "payload", Offset: off, Size: int64(h.count), Sets: h.numSets}, err) {
+			return
+		}
+		off += int64(h.count)
+	} else {
+		offsets := SectionInfo{Name: "offsets", Offset: off, Size: 8 * int64(h.n+1)}
+		ends, err := readOffsets(tee, h, info.Size-off)
+		if !add(offsets, err) {
+			return
+		}
+		off += offsets.Size
+		entries := SectionInfo{Name: "entries", Offset: off, Size: 4 * int64(h.count), Sets: h.numSets}
+		if !add(entries, checkEntries(tee, h, ends)) {
+			return
+		}
+		off += entries.Size
+	}
 	info.NumSets = h.numSets
-	info.Sections = append(info.Sections, payload)
 
-	sum := SectionInfo{Name: "checksum", Offset: payloadOff + int64(h.payloadLen), Size: 4}
+	sum := SectionInfo{Name: "checksum", Offset: off, Size: 4}
 	var tail [4]byte
 	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		sum.Detail = readErr(err).Error()
-	} else {
-		sum.CRC = binary.LittleEndian.Uint32(tail[:])
-		switch {
-		case sum.CRC != crc.Sum32():
-			sum.Detail = ErrChecksum.Error()
-		case mustPeekEOF(br):
-			sum.OK = true
-		default:
-			sum.Detail = "trailing bytes after checksum"
+		add(sum, readErr(err))
+		return
+	}
+	sum.CRC = binary.LittleEndian.Uint32(tail[:])
+	var sumErr error
+	switch {
+	case sum.CRC != crc.Sum32():
+		sumErr = ErrChecksum
+	case !mustPeekEOF(br):
+		sumErr = errors.New("trailing bytes after checksum")
+	}
+	add(sum, sumErr)
+}
+
+// readOffsets reads and checks a version 3 offsets section: n+1 values from
+// 0 that never decrease and end at the entry count. avail is the number of
+// file bytes left, so a header claiming more vertices than the file can hold
+// fails before the section is allocated.
+func readOffsets(r io.Reader, h header, avail int64) ([]uint64, error) {
+	size := 8 * int64(h.n+1)
+	if size > avail {
+		return nil, errShortSketch
+	}
+	raw := make([]byte, size)
+	if _, err := io.ReadFull(r, raw); err != nil {
+		return nil, readErr(err)
+	}
+	offsets := make([]uint64, h.n+1)
+	_, _ = binary.Decode(raw, binary.LittleEndian, offsets) // sized to fit
+	if offsets[0] != 0 || offsets[h.n] != h.count {
+		return nil, fmt.Errorf("%w: offsets run from %d to %d, want 0 to %d", ErrCorrupt, offsets[0], offsets[h.n], h.count)
+	}
+	for v := range h.n {
+		if offsets[v+1] < offsets[v] {
+			return nil, fmt.Errorf("%w: offsets decrease at vertex %d", ErrCorrupt, v)
 		}
 	}
-	info.Sections = append(info.Sections, sum)
+	return offsets, nil
+}
+
+// checkEntries streams a version 3 entries section in 64 KiB chunks and
+// checks that each vertex's ids, delimited by the verified offsets, are
+// strictly ascending and below R.
+func checkEntries(r io.Reader, h header, offsets []uint64) error {
+	buf := make([]byte, 1<<16)
+	v, prev := 0, int32(-1)
+	for pos := uint64(0); pos < h.count; {
+		k := min(h.count-pos, uint64(len(buf)/4))
+		if _, err := io.ReadFull(r, buf[:4*k]); err != nil {
+			return readErr(err)
+		}
+		for j := range k {
+			for offsets[v+1] == pos {
+				v, prev = v+1, -1
+			}
+			id := int32(binary.LittleEndian.Uint32(buf[4*j:]))
+			if id <= prev || int(id) >= h.numSets {
+				return fmt.Errorf("%w: member list of vertex %d has RR set %d after %d, want strictly ascending ids in [0, %d)",
+					ErrCorrupt, v, id, prev, h.numSets)
+			}
+			prev = id
+			pos++
+		}
+	}
 	return nil
 }
 
 // inspectV2 walks a v2 checkpoint: independent CRC-framed segments until EOF.
-func inspectV2(br *bufio.Reader, hdr []byte, info *FileInfo) error {
+func inspectV2(br *bufio.Reader, hdr []byte, info *FileInfo) {
 	headerSection := SectionInfo{Name: "header", Offset: 0, Size: headerLen, OK: true}
 	meta, err := parseCheckpointHeader(hdr)
 	if err != nil {
 		headerSection.OK = false
 		headerSection.Detail = err.Error()
 		info.Sections = append(info.Sections, headerSection)
-		return nil
+		return
 	}
 	info.Meta = meta
 	info.Sections = append(info.Sections, headerSection)
@@ -184,7 +241,7 @@ func inspectV2(br *bufio.Reader, hdr []byte, info *FileInfo) error {
 	for i := 0; ; i++ {
 		_, count, size, crc, err := readSegment(br, meta.N, info.NumSets, nil)
 		if err == io.EOF {
-			return nil
+			return
 		}
 		sec := SectionInfo{Name: fmt.Sprintf("segment[%d]", i), Offset: off}
 		if err != nil {
@@ -194,7 +251,7 @@ func inspectV2(br *bufio.Reader, hdr []byte, info *FileInfo) error {
 			sec.Size = info.Size - off
 			sec.Detail = err.Error()
 			info.Sections = append(info.Sections, sec)
-			return nil
+			return
 		}
 		sec.Size = size
 		sec.Sets = count

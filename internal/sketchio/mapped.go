@@ -2,24 +2,15 @@ package sketchio
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"os"
 	"sync"
-	"unsafe"
 
 	"imdist/internal/core"
-	"imdist/internal/graph"
 )
 
-// Compile-time assertion that graph.VertexID is exactly 4 bytes: the
-// zero-copy decode reinterprets the mapped payload as []graph.VertexID, which
-// is only sound while the on-disk record layout (4-byte little-endian ids)
-// matches the in-memory representation.
-var _ = [1]struct{}{}[unsafe.Sizeof(graph.VertexID(0))-4]
-
 // hostLittleEndian reports whether this machine stores integers in the
-// sketch file's byte order, the precondition for aliasing the mapping.
+// sketch file's byte order, the precondition for aliasing a member index
+// into the file's bytes and for writing one straight from memory.
 var hostLittleEndian = func() bool {
 	var buf [2]byte
 	binary.NativeEndian.PutUint16(buf[:], 1)
@@ -27,11 +18,11 @@ var hostLittleEndian = func() bool {
 }()
 
 // MappedSketch is a loaded sketch whose backing storage has an explicit
-// lifetime. When the platform supports memory mapping and the host is
-// little-endian, the oracle's RR sets alias the mapped file directly — no
-// per-record copies, and the page cache is shared between every process
-// serving the same sketch — which means the mapping must outlive every query
-// that walks an RR set.
+// lifetime. For a version 3 sketch on a platform with memory mapping and a
+// little-endian host, the oracle's member index — the only structure queries
+// read — aliases the mapped file directly: opening allocates nothing
+// proportional to the sketch, and the page cache is shared between every
+// process serving it. The mapping must therefore outlive every query.
 //
 // Lifetime is managed by reference counting: callers bracket each query with
 // Acquire/Release, and Close drops the owner reference. The munmap is
@@ -39,9 +30,9 @@ var hostLittleEndian = func() bool {
 // a hot reload can swap a new sketch in immediately while queries drain on
 // the old one (the copy-on-swap semantics of internal/server's registry).
 //
-// When mapping or aliasing is unavailable the sketch decodes onto the heap
-// and the same API degrades to no-ops, so callers never need to care which
-// mode they got.
+// Version 1 sketches, and hosts without mapping or little-endian integers,
+// load onto the heap instead, and the same API degrades to no-ops, so
+// callers never need to care which mode they got.
 type MappedSketch struct {
 	oracle *core.Oracle
 
@@ -54,16 +45,21 @@ type MappedSketch struct {
 }
 
 // OpenMapped loads the sketch at path, memory-mapping it and aliasing the
-// oracle's RR sets into the mapping when the platform and byte order allow;
-// otherwise it falls back to a heap-decoded oracle with the same refcounting
-// API. The caller owns one reference and must call Close when done; queries
-// issued concurrently with Close must hold their own Acquire/Release pair.
+// oracle's member index into the mapping when the format, platform and byte
+// order allow; otherwise it falls back to a heap-decoded oracle with the same
+// refcounting API. Either way every check runs before the oracle is
+// returned: the CRC-32C over the whole file, the header, and one pass over
+// the index (offsets non-decreasing and ending at the entry count, each
+// vertex's ids strictly ascending and below R). The file must hold exactly
+// one sketch: trailing bytes are corruption. The caller owns one reference
+// and must call Close when done; queries issued concurrently with Close must
+// hold their own Acquire/Release pair.
 //
 // Because the mapping is shared with the file, a mapped sketch file must
 // only ever be replaced atomically (write to a temp file, then rename into
 // place — what WriteFile and imsketch always do), never rewritten in place:
 // validation runs once at open time, so in-place writes would corrupt the
-// records under live queries.
+// index under live queries.
 func OpenMapped(path string) (*MappedSketch, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -72,37 +68,32 @@ func OpenMapped(path string) (*MappedSketch, error) {
 	defer f.Close()
 	data, unmap, ok := mmapFile(f)
 	if !ok {
-		oracle, err := Decode(f)
+		oracle, err := ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
 		return &MappedSketch{oracle: oracle}, nil
 	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&data[0]))%4 == 0 {
-		oracle, err := decodeAliased(data)
-		if err != nil {
-			unmap()
-			return nil, err
-		}
-		return &MappedSketch{oracle: oracle, unmap: unmap, zeroCopy: true}, nil
-	}
-	// Big-endian or misaligned mapping: decode by copying and release the
-	// mapping immediately — the oracle owns heap memory.
-	oracle, err := DecodeBytes(data)
-	unmap()
+	oracle, aliased, err := decodeImage(data)
 	if err != nil {
+		unmap()
 		return nil, err
 	}
-	return &MappedSketch{oracle: oracle}, nil
+	if !aliased {
+		// The oracle owns heap copies: release the mapping now.
+		unmap()
+		return &MappedSketch{oracle: oracle}, nil
+	}
+	return &MappedSketch{oracle: oracle, unmap: unmap, zeroCopy: true}, nil
 }
 
-// Oracle returns the loaded oracle. When ZeroCopy reports true its RR sets
-// alias the mapping, so every use must sit inside an Acquire/Release pair or
-// complete before Close.
+// Oracle returns the loaded oracle. When ZeroCopy reports true its member
+// index aliases the mapping, so every use must sit inside an Acquire/Release
+// pair or complete before Close.
 func (m *MappedSketch) Oracle() *core.Oracle { return m.oracle }
 
-// ZeroCopy reports whether the oracle's RR sets alias the live mapping
-// (false for heap-decoded fallbacks, whose lifetime is the garbage
+// ZeroCopy reports whether the oracle's member index aliases the live
+// mapping (false for heap-decoded fallbacks, whose lifetime is the garbage
 // collector's problem).
 func (m *MappedSketch) ZeroCopy() bool { return m.zeroCopy }
 
@@ -152,73 +143,4 @@ func (m *MappedSketch) unmapped() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.zeroCopy && m.unmap == nil
-}
-
-// decodeAliased validates a complete in-memory sketch image and builds an
-// oracle whose RR sets are views into data's payload rather than copies.
-// Every check of the streaming decoder still runs — checksum first, then
-// header sanity, then per-record bounds and per-vertex range checks — the
-// only difference is that the validated records are not copied out. Unlike
-// Decode, which tolerates stream framing after the checksum, the image must
-// contain exactly one sketch: trailing bytes are corruption.
-func decodeAliased(data []byte) (*core.Oracle, error) {
-	if len(data) < headerLen+4 {
-		return nil, errShortSketch
-	}
-	body := data[:len(data)-4]
-	if binary.LittleEndian.Uint32(data[len(data)-4:]) != crc32.Checksum(body, castagnoliTab) {
-		return nil, ErrChecksum
-	}
-	h, err := parseHeader(body[:headerLen])
-	if err != nil {
-		return nil, err
-	}
-	var lineage core.ShardLineage
-	payloadOff := headerLen
-	if h.sharded {
-		if len(body) < headerLen+lineageLen {
-			return nil, errShortSketch
-		}
-		if lineage, err = parseLineage(body[headerLen : headerLen+lineageLen]); err != nil {
-			return nil, err
-		}
-		payloadOff += lineageLen
-	}
-	payload := body[payloadOff:]
-	if h.payloadLen != uint64(len(payload)) {
-		return nil, fmt.Errorf("%w: header declares %d payload bytes, file carries %d", ErrCorrupt, h.payloadLen, len(payload))
-	}
-	rrSets := make([][]graph.VertexID, h.numSets)
-	off := 0
-	for i := 0; i < h.numSets; i++ {
-		if len(payload)-off < 4 {
-			return nil, fmt.Errorf("%w: payload exhausted at RR set %d", ErrCorrupt, i)
-		}
-		count := int(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
-		if count > h.n {
-			return nil, fmt.Errorf("%w: RR set %d claims %d members on a %d-vertex graph", ErrCorrupt, i, count, h.n)
-		}
-		if len(payload)-off < 4*count {
-			return nil, fmt.Errorf("%w: RR set %d overruns payload", ErrCorrupt, i)
-		}
-		if count > 0 {
-			set := unsafe.Slice((*graph.VertexID)(unsafe.Pointer(&payload[off])), count)
-			for _, v := range set {
-				if uint32(v) >= uint32(h.n) {
-					return nil, fmt.Errorf("%w: RR set %d contains vertex %d outside [0, %d)", ErrCorrupt, i, v, h.n)
-				}
-			}
-			rrSets[i] = set
-		}
-		off += 4 * count
-	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("%w: %d unread payload bytes after last RR set", ErrCorrupt, len(payload)-off)
-	}
-	o, err := core.NewOracleFromRRSets(h.n, h.model, h.seed, rrSets)
-	if err != nil || !h.sharded {
-		return o, err
-	}
-	return applyLineage(o, lineage)
 }

@@ -4,43 +4,56 @@
 // runs offline, and any number of query servers (imserve) load the resulting
 // artifact and answer influence queries without touching the graph again.
 //
-// # Format (version 1, little endian)
+// # Format (version 3, little endian)
 //
-//	offset  size  field
-//	0       4     magic "IMSK"
-//	4       2     format version (1)
-//	6       1     diffusion model (0 = IC, 1 = LT)
-//	7       1     flags (bit 0 = sharded; all other bits reserved as 0)
-//	8       8     build seed
-//	16      8     number of vertices n
-//	24      8     number of RR sets R
-//	32      8     payload length in bytes
-//	40      ...   R records: uint32 count, then count × int32 vertex ids
-//	40+len  4     CRC-32C (Castagnoli) of everything before it
+// A sketch stores the oracle's vertex→RR-set member index in CSR form
+// (compressed sparse rows), the only structure queries read, so a loader can
+// alias it straight out of a file mapping instead of rebuilding it:
+//
+//	offset      size    field
+//	0           4       magic "IMSK"
+//	4           2       format version (3)
+//	6           1       diffusion model (0 = IC, 1 = LT)
+//	7           1       flags (bit 0 = sharded; all other bits reserved as 0)
+//	8           8       build seed
+//	16          8       number of vertices n
+//	24          8       number of RR sets R
+//	32          8       number of member-index entries E
+//	40          8(n+1)  offsets: uint64, from 0, non-decreasing, ending at E
+//	40+8(n+1)   4E      entries: vertex v's RR-set ids at [offsets[v],
+//	                    offsets[v+1]), int32, strictly ascending, below R
+//	end-4       4       CRC-32C (Castagnoli) of everything before it
 //
 // When the sharded flag is set a 24-byte lineage extension sits between the
-// header and the payload (shifting the payload and checksum down by 24):
+// header and the offsets (shifting the later sections down by 24):
 //
-//	40      8     shard index (0-based)
-//	48      8     shard count
-//	56      8     total RR sets across the whole fleet
+//	40          8       shard index (0-based)
+//	48          8       shard count
+//	56          8       total RR sets across the whole fleet
 //
 // SplitSketch writes the extension so a shard is a complete, valid sketch on
 // its own and still names the fleet it belongs to — a coordinator assembling
 // shards can reject duplicates, gaps and mixed splits instead of silently
-// merging wrong counts. Unsharded sketches carry a zero flags byte and are
-// byte-identical to files written before the extension existed.
+// merging wrong counts. Both array sections start 8-byte aligned.
 //
-// Every record and the payload as a whole are length-prefixed, so a reader
-// can stream the file without buffering it and reject truncation early; the
-// trailing checksum catches bit rot. Decoding is strict: unknown versions,
-// unknown flag bits, out-of-range vertex ids, impossible lengths and
-// trailing garbage are all errors, never panics — sketches may come from
-// untrusted storage.
+// # Version 1 (read-only)
+//
+// Earlier builds wrote the RR sets themselves: the same header, except that
+// field 32 is the payload length in bytes, then R records (uint32 count,
+// then count × int32 vertex ids) — the record format v2 checkpoints still
+// use — then the CRC-32C. Version 1 files still load, onto the heap through
+// the record decoder checkpoints share; saving such an oracle again writes
+// version 3, so re-saving a v1 file converts it. Because a v1 file carries
+// nothing per vertex, one that declares more than 2^24 vertices must hold at
+// least n/8 payload bytes.
+//
+// The trailing checksum catches bit rot. Decoding is strict: unknown
+// versions, unknown flag bits, out-of-range or repeated ids, impossible
+// lengths and, for a file, trailing bytes are all errors, never panics —
+// sketches may come from untrusted storage.
 package sketchio
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -49,14 +62,18 @@ import (
 	"io"
 	"math"
 	"os"
+	"unsafe"
 
 	"imdist/internal/core"
 	"imdist/internal/diffusion"
 	"imdist/internal/graph"
 )
 
-// Version is the current sketch format version.
-const Version = 1
+// Version is the sketch format version Encode writes.
+const Version = 3
+
+// versionV1 is the set-major format earlier builds wrote; it is only read.
+const versionV1 = 1
 
 const (
 	headerLen = 40
@@ -68,6 +85,10 @@ const (
 	// maxRecordBuf caps the per-record read buffer a hostile count field can
 	// request before validation against n kicks in.
 	maxRecordBuf = 1 << 26 // 64 MiB, i.e. 2^24 vertices per RR set
+	// maxV1FreeVertices is the vertex count a version 1 file may declare
+	// regardless of its size: loading it allocates 8 bytes of offsets per
+	// vertex, 128 MiB at this count.
+	maxV1FreeVertices = 1 << 24
 )
 
 // Decode errors. Errors wrapping ErrCorrupt carry a position/detail message.
@@ -83,25 +104,24 @@ var (
 
 // EncodedSize returns the exact on-disk size in bytes of o's sketch.
 func EncodedSize(o *core.Oracle) int64 {
-	size := int64(headerLen) + o.PayloadBytes() + 4
+	offsets, entries := o.MemberIndex()
+	size := int64(headerLen) + 8*int64(len(offsets)) + 4*int64(len(entries)) + 4
 	if o.ShardLineage().Sharded() {
 		size += lineageLen
 	}
 	return size
 }
 
-// Encode writes o as a sketch to w.
+// Encode writes o as a version 3 sketch to w: the header, then the oracle's
+// member index section by section, each written in one piece.
 func Encode(w io.Writer, o *core.Oracle) error {
 	if o == nil {
 		return errNilOracle
 	}
+	offsets, entries := o.MemberIndex()
 	crc := crc32.New(castagnoliTab)
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
+	mw := io.MultiWriter(w, crc)
 
-	// The oracle pinned its payload size while building the member index, so
-	// no sizing pass over the (possibly disk-backed) sets is needed here; the
-	// single writeRecords pass below streams them segment by segment.
-	payload := uint64(o.PayloadBytes())
 	hdr := make([]byte, headerLen, headerLen+lineageLen)
 	copy(hdr, magic)
 	binary.LittleEndian.PutUint16(hdr[4:], Version)
@@ -109,7 +129,7 @@ func Encode(w io.Writer, o *core.Oracle) error {
 	binary.LittleEndian.PutUint64(hdr[8:], o.BuildSeed())
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(o.NumVertices()))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(o.NumSets()))
-	binary.LittleEndian.PutUint64(hdr[32:], payload)
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(len(entries)))
 	if l := o.ShardLineage(); l.Sharded() {
 		hdr[7] = flagSharded
 		hdr = hdr[:headerLen+lineageLen]
@@ -117,15 +137,13 @@ func Encode(w io.Writer, o *core.Oracle) error {
 		binary.LittleEndian.PutUint64(hdr[headerLen+8:], uint64(l.Count))
 		binary.LittleEndian.PutUint64(hdr[headerLen+16:], uint64(l.TotalSets))
 	}
-	if _, err := bw.Write(hdr); err != nil {
+	if _, err := mw.Write(hdr); err != nil {
 		return err
 	}
-
-	if err := writeRecords(bw, o.NumSets(), o.RRSet); err != nil {
+	if err := writeLE(mw, offsets); err != nil {
 		return err
 	}
-	// The checksum covers header + payload; flush so crc has seen them all.
-	if err := bw.Flush(); err != nil {
+	if err := writeLE(mw, entries); err != nil {
 		return err
 	}
 	var tail [4]byte
@@ -134,9 +152,31 @@ func Encode(w io.Writer, o *core.Oracle) error {
 	return err
 }
 
+// writeLE writes s to w as little-endian values: straight from memory on a
+// little-endian host, converted in 64 KiB chunks elsewhere.
+func writeLE[T uint64 | int32](w io.Writer, s []T) error {
+	if len(s) == 0 {
+		return nil
+	}
+	if hostLittleEndian {
+		_, err := w.Write(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0]))))
+		return err
+	}
+	chunk := (1 << 16) / int(unsafe.Sizeof(s[0]))
+	var buf []byte
+	for len(s) > 0 {
+		k := min(len(s), chunk)
+		buf, _ = binary.Append(buf[:0], binary.LittleEndian, s[:k]) // fixed-size values never fail
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		s = s[k:]
+	}
+	return nil
+}
+
 // writeRecords writes count length-prefixed RR-set records, obtained from
-// get, to w. It is the payload encoder shared by the v1 sketch format and the
-// v2 checkpoint segments.
+// get, to w: the payload encoder of v2 checkpoint segments.
 func writeRecords(w io.Writer, count int, get func(int) []graph.VertexID) error {
 	var scratch []byte
 	for i := 0; i < count; i++ {
@@ -197,13 +237,16 @@ func splitPath(path string) (dir, base string) {
 
 // header is the decoded fixed-size sketch header.
 type header struct {
-	model      diffusion.Model
-	seed       uint64
-	n          int
-	numSets    int
-	payloadLen uint64
+	version uint16
+	model   diffusion.Model
+	seed    uint64
+	n       int
+	numSets int
+	// count is field 32: the payload length in bytes for version 1, the
+	// member-index entry count for version 3.
+	count uint64
 	// sharded reports the flagSharded bit: a lineageLen-byte extension
-	// follows this header before the payload.
+	// follows this header.
 	sharded bool
 }
 
@@ -212,8 +255,9 @@ func parseHeader(hdr []byte) (header, error) {
 	if string(hdr[:4]) != magic {
 		return h, ErrBadMagic
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:]); v != Version {
-		return h, fmt.Errorf("%w: got %d, support %d", ErrVersion, v, Version)
+	h.version = binary.LittleEndian.Uint16(hdr[4:])
+	if h.version != Version && h.version != versionV1 {
+		return h, fmt.Errorf("%w: got %d, support %d and %d", ErrVersion, h.version, Version, versionV1)
 	}
 	switch diffusion.Model(hdr[6]) {
 	case diffusion.IC, diffusion.LT:
@@ -228,21 +272,47 @@ func parseHeader(hdr []byte) (header, error) {
 	h.seed = binary.LittleEndian.Uint64(hdr[8:])
 	n := binary.LittleEndian.Uint64(hdr[16:])
 	numSets := binary.LittleEndian.Uint64(hdr[24:])
-	h.payloadLen = binary.LittleEndian.Uint64(hdr[32:])
+	count := binary.LittleEndian.Uint64(hdr[32:])
 	if n < 1 || n > math.MaxInt32 {
 		return h, fmt.Errorf("%w: vertex count %d outside [1, 2^31)", ErrCorrupt, n)
 	}
 	if numSets < 1 || numSets > math.MaxInt32 {
 		return h, fmt.Errorf("%w: RR-set count %d outside [1, 2^31)", ErrCorrupt, numSets)
 	}
-	// Each record is at least a 4-byte count; a payload shorter than that is
-	// impossible, as is one above 2^56 bytes.
-	if h.payloadLen < 4*numSets || h.payloadLen > 1<<56 {
-		return h, fmt.Errorf("%w: payload length %d impossible for %d RR sets", ErrCorrupt, h.payloadLen, numSets)
+	if h.version == versionV1 {
+		// Each record is at least a 4-byte count; a payload shorter than
+		// that is impossible, as is one above 2^56 bytes.
+		if count < 4*numSets || count > 1<<56 {
+			return h, fmt.Errorf("%w: payload length %d impossible for %d RR sets", ErrCorrupt, count, numSets)
+		}
+		// A version 1 file carries nothing per vertex, yet loading it builds
+		// n+1 offsets. Past maxV1FreeVertices it must hold at least n/8
+		// payload bytes, so a short file cannot claim a huge graph.
+		if n > maxV1FreeVertices && n > 8*count {
+			return h, fmt.Errorf("%w: %d vertices implausible for a %d-byte version 1 payload", ErrCorrupt, n, count)
+		}
+	} else if count > n*numSets || count > 1<<56 {
+		// A vertex appears at most once per RR set.
+		return h, fmt.Errorf("%w: %d member-index entries impossible for %d vertices and %d RR sets", ErrCorrupt, count, n, numSets)
 	}
 	h.n = int(n)
 	h.numSets = int(numSets)
+	h.count = count
 	return h, nil
+}
+
+// imageLen returns the exact size of the sketch file h describes: header,
+// lineage when sharded, the version 1 record payload or the version 3
+// offsets and entries, and the checksum.
+func (h header) imageLen() uint64 {
+	size := headerLen + 8*(uint64(h.n)+1) + 4*h.count + 4
+	if h.version == versionV1 {
+		size = headerLen + h.count + 4
+	}
+	if h.sharded {
+		size += lineageLen
+	}
+	return size
 }
 
 // parseLineage decodes the lineageLen-byte shard lineage extension of a
@@ -276,60 +346,124 @@ func applyLineage(o *core.Oracle, l core.ShardLineage) (*core.Oracle, error) {
 	return o, nil
 }
 
-// Decode reads a sketch from r and reassembles the oracle. It streams: the
-// payload is consumed record by record with strict bounds checks, and the
-// trailing CRC-32C is verified against the bytes actually read.
+// Decode reads one sketch from r and builds its oracle on the heap. It reads
+// exactly the bytes the header declares and nothing after the checksum, so a
+// sketch may sit inside a longer stream; the buffer grows only as bytes
+// arrive, so a hostile header cannot force a large allocation.
 func Decode(r io.Reader) (*core.Oracle, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	crc := crc32.New(castagnoliTab)
-	tee := io.TeeReader(br, crc)
-
 	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(tee, hdr); err != nil {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, readErr(err)
 	}
 	h, err := parseHeader(hdr)
 	if err != nil {
 		return nil, err
 	}
-	var lineage core.ShardLineage
-	if h.sharded {
-		ext := make([]byte, lineageLen)
-		if _, err := io.ReadFull(tee, ext); err != nil {
-			return nil, readErr(err)
-		}
-		if lineage, err = parseLineage(ext); err != nil {
-			return nil, err
-		}
-	}
-
-	rrSets, err := readRecords(tee, h.n, h.numSets, h.payloadLen, &vertexArena{})
+	image, err := readImage(r, hdr, h.imageLen())
 	if err != nil {
 		return nil, err
 	}
+	o, _, err := decodeImage(image)
+	return o, err
+}
 
-	// The stored checksum itself is read past the tee so it does not feed
-	// back into the digest.
-	var tail [4]byte
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return nil, readErr(err)
+// readImage returns hdr followed by the rest of a size-byte image read from
+// r. The buffer starts at 1 MiB at most and doubles, capped at size, each
+// time it fills.
+func readImage(r io.Reader, hdr []byte, size uint64) ([]byte, error) {
+	buf := make([]byte, len(hdr), min(size, 1<<20))
+	copy(buf, hdr)
+	for {
+		k, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, readErr(err)
+		}
+		if uint64(len(buf)) == size {
+			return buf, nil
+		}
+		grown := make([]byte, len(buf), min(size, 2*uint64(len(buf))))
+		copy(grown, buf)
+		buf = grown
 	}
-	if binary.LittleEndian.Uint32(tail[:]) != crc.Sum32() {
-		return nil, ErrChecksum
+}
+
+// decodeImage decodes a complete sketch image: data holds exactly one
+// sketch, so bytes after the checksum are corruption. Every check runs before
+// the oracle is returned — header, exact length, the body's structure (for
+// version 3 one pass over the member index), then the CRC-32C over
+// everything — and each only reads within bounds the earlier ones
+// established. A version 3 member index aliases data when the host is
+// little-endian and data is 8-byte aligned — aliased reports it, and data
+// must then outlive every use of the oracle; otherwise, and for version 1,
+// the oracle owns heap copies.
+func decodeImage(data []byte) (o *core.Oracle, aliased bool, err error) {
+	if len(data) < headerLen+4 {
+		return nil, false, errShortSketch
 	}
-	o, err := core.NewOracleFromRRSets(h.n, h.model, h.seed, rrSets)
-	if err != nil || !h.sharded {
-		return o, err
+	h, err := parseHeader(data[:headerLen])
+	if err != nil {
+		return nil, false, err
 	}
-	return applyLineage(o, lineage)
+	if size := h.imageLen(); size != uint64(len(data)) {
+		return nil, false, fmt.Errorf("%w: header declares a %d-byte sketch, image holds %d bytes", ErrCorrupt, size, len(data))
+	}
+	body := data[headerLen : len(data)-4]
+	var lineage core.ShardLineage
+	if h.sharded {
+		if lineage, err = parseLineage(body[:lineageLen]); err != nil {
+			return nil, false, err
+		}
+		body = body[lineageLen:]
+	}
+	if h.version == versionV1 {
+		var rrSets [][]graph.VertexID
+		if rrSets, err = readRecords(bytes.NewReader(body), h.n, h.numSets, h.count, &vertexArena{}); err != nil {
+			return nil, false, err
+		}
+		o, err = core.NewOracleFromRRSets(h.n, h.model, h.seed, rrSets)
+	} else {
+		var offsets []uint64
+		var entries []int32
+		offsets, entries, aliased = memberViews(body[:8*(h.n+1)], body[8*(h.n+1):])
+		o, err = core.NewOracleFromMemberIndex(h.n, h.model, h.seed, h.numSets, offsets, entries)
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if binary.LittleEndian.Uint32(data[len(data)-4:]) != crc32.Checksum(data[:len(data)-4], castagnoliTab) {
+		return nil, false, ErrChecksum
+	}
+	if h.sharded {
+		o, err = applyLineage(o, lineage)
+	}
+	return o, aliased, err
+}
+
+// memberViews interprets the version 3 offsets and entries sections as
+// slices: views into the sections themselves when the host byte order and
+// their alignment allow, decoded copies otherwise.
+func memberViews(offBytes, entBytes []byte) (offsets []uint64, entries []int32, aliased bool) {
+	if hostLittleEndian && uintptr(unsafe.Pointer(&offBytes[0]))%8 == 0 {
+		offsets = unsafe.Slice((*uint64)(unsafe.Pointer(&offBytes[0])), len(offBytes)/8)
+		if len(entBytes) > 0 {
+			entries = unsafe.Slice((*int32)(unsafe.Pointer(&entBytes[0])), len(entBytes)/4)
+		}
+		return offsets, entries, true
+	}
+	offsets = make([]uint64, len(offBytes)/8)
+	entries = make([]int32, len(entBytes)/4)
+	_, _ = binary.Decode(offBytes, binary.LittleEndian, offsets) // sized to fit
+	_, _ = binary.Decode(entBytes, binary.LittleEndian, entries)
+	return offsets, entries, false
 }
 
 // readRecords decodes numSets length-prefixed RR-set records spanning exactly
 // payloadLen bytes of r, validating every vertex id against [0, n). It is the
-// payload decoder shared by the v1 sketch format and the v2 checkpoint
-// segments. The sets' backing storage is carved from arena (chunked, one
-// large allocation per ~4 MiB of payload instead of one per record); with a
-// nil arena the records are validated and discarded instead of materialized
+// record decoder shared by version 1 sketches and v2 checkpoint segments.
+// The sets' backing storage is carved from arena (chunked, one large
+// allocation per ~4 MiB of payload instead of one per record); with a nil
+// arena the records are validated and discarded instead of materialized
 // (returning nil) — Inspect verifies multi-GB files in O(record) memory this
 // way.
 func readRecords(tee io.Reader, n, numSets int, payloadLen uint64, arena *vertexArena) ([][]graph.VertexID, error) {
@@ -400,25 +534,14 @@ func readErr(err error) error {
 	return err
 }
 
-// DecodeBytes decodes a sketch held entirely in memory (for example a
-// memory-mapped file).
-func DecodeBytes(data []byte) (*core.Oracle, error) {
-	return Decode(bytes.NewReader(data))
-}
-
-// ReadFile loads a sketch from path. On platforms with mmap support the file
-// is memory-mapped while decoding, so the page cache is shared across
-// processes loading the same sketch and no intermediate copy of the file is
-// held; elsewhere it falls back to streaming from the file.
+// ReadFile loads the sketch at path onto the heap. Like OpenMapped it
+// decodes the whole file as one image, so bytes after the checksum are
+// corruption.
 func ReadFile(path string) (*core.Oracle, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	if data, unmap, ok := mmapFile(f); ok {
-		defer unmap()
-		return DecodeBytes(data)
-	}
-	return Decode(f)
+	o, _, err := decodeImage(data)
+	return o, err
 }

@@ -1,13 +1,10 @@
 package sketchio
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
+	"slices"
 
 	"imdist/internal/core"
 )
@@ -22,7 +19,7 @@ var (
 	ErrTooManyShards = errors.New("sketchio: more shards than RR-set blocks")
 )
 
-// SplitSketch partitions the v1 sketch at inPath into shards standalone
+// SplitSketch partitions the sketch at inPath into shards standalone
 // sketch files, returning their paths (outPrefix.shard<i>-of-<shards>). The
 // RR-set index space is cut along the batch engine's DefaultBatchShardSize
 // block boundaries — the unit the packed kernel and the batch grid already
@@ -37,9 +34,11 @@ var (
 // dividing once by the fleet total reproduces the unsplit sketch's answers
 // byte for byte.
 //
-// The input is fully validated (structure, vertex ranges and CRC-32C) before
-// any output is written, outputs are written atomically (temp file + rename),
-// and record bytes are copied verbatim — a split never re-encodes the sets.
+// The input is opened through OpenMapped, so it is fully validated before
+// any output is written. A shard's member list for vertex v is the slice of
+// v's list that falls in the shard's set range, found by binary search, with
+// the ids rebased to start at 0. Outputs are written atomically (temp file +
+// rename).
 func SplitSketch(inPath, outPrefix string, shards int) ([]string, error) {
 	return splitSketch(inPath, outPrefix, shards, core.DefaultBatchShardSize)
 }
@@ -53,34 +52,29 @@ func splitSketch(inPath, outPrefix string, shards, blockSize int) ([]string, err
 	if blockSize < 1 {
 		blockSize = core.DefaultBatchShardSize
 	}
-	f, err := os.Open(inPath)
+	in, err := OpenMapped(inPath)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-
-	h, blockOff, err := scanBlocks(f, blockSize)
-	if err != nil {
-		return nil, err
+	defer in.Close()
+	o := in.Oracle()
+	if o.ShardLineage().Sharded() {
+		return nil, ErrAlreadySharded
 	}
-	numBlocks := len(blockOff) - 1
+	numSets := o.NumSets()
+	numBlocks := (numSets + blockSize - 1) / blockSize
 	if shards > numBlocks {
 		return nil, fmt.Errorf("%w: %d RR sets form %d blocks of %d, cannot split into %d",
-			ErrTooManyShards, h.numSets, numBlocks, blockSize, shards)
+			ErrTooManyShards, numSets, numBlocks, blockSize, shards)
 	}
 
 	paths := make([]string, shards)
 	for i := 0; i < shards; i++ {
-		loBlock := i * numBlocks / shards
-		hiBlock := (i + 1) * numBlocks / shards
-		setLo := loBlock * blockSize
-		setHi := hiBlock * blockSize
-		if setHi > h.numSets {
-			setHi = h.numSets
-		}
-		lineage := core.ShardLineage{Index: i, Count: shards, TotalSets: h.numSets}
+		setLo := i * numBlocks / shards * blockSize
+		setHi := min((i+1)*numBlocks/shards*blockSize, numSets)
 		path := fmt.Sprintf("%s.shard%d-of-%d", outPrefix, i, shards)
-		if err := writeShard(f, h, path, setHi-setLo, blockOff[loBlock], blockOff[hiBlock], lineage); err != nil {
+		err := writeShard(o, path, setLo, setHi, core.ShardLineage{Index: i, Count: shards, TotalSets: numSets})
+		if err != nil {
 			// Best-effort cleanup of shards already renamed into place: a
 			// partial fleet must not look complete.
 			for _, p := range paths[:i] {
@@ -93,137 +87,33 @@ func splitSketch(inPath, outPrefix string, shards, blockSize int) ([]string, err
 	return paths, nil
 }
 
-// scanBlocks validates the whole sketch at f — header, record structure,
-// vertex ranges and trailing CRC-32C — and returns the payload byte offset of
-// every blockSize-record block boundary (blockOff[b] is where block b's first
-// record starts, blockOff[numBlocks] the payload end). It streams in O(record)
-// memory; nothing is materialized.
-func scanBlocks(f *os.File, blockSize int) (header, []uint64, error) {
-	var h header
-	br := bufio.NewReaderSize(f, 1<<16)
-	crc := crc32.New(castagnoliTab)
-	tee := io.TeeReader(br, crc)
-
-	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(tee, hdr); err != nil {
-		return h, nil, readErr(err)
+// writeShard writes the sketch of o's RR sets [setLo, setHi) to path,
+// renumbered from 0, under the given lineage.
+func writeShard(o *core.Oracle, path string, setLo, setHi int, lineage core.ShardLineage) error {
+	offsets, entries := o.MemberIndex()
+	n := o.NumVertices()
+	cut := func(v int) []int32 {
+		list := entries[offsets[v]:offsets[v+1]]
+		lo, _ := slices.BinarySearch(list, int32(setLo))
+		hi, _ := slices.BinarySearch(list, int32(setHi))
+		return list[lo:hi]
 	}
-	h, err := parseHeader(hdr)
-	if err != nil {
-		return h, nil, err
+	shardOffsets := make([]uint64, n+1)
+	for v := range n {
+		shardOffsets[v+1] = shardOffsets[v] + uint64(len(cut(v)))
 	}
-	if h.sharded {
-		return h, nil, ErrAlreadySharded
+	shardEntries := make([]int32, 0, shardOffsets[n])
+	for v := range n {
+		for _, id := range cut(v) {
+			shardEntries = append(shardEntries, id-int32(setLo))
+		}
 	}
-
-	numBlocks := (h.numSets + blockSize - 1) / blockSize
-	blockOff := make([]uint64, numBlocks+1)
-	remaining := h.payloadLen
-	var off uint64
-	var lenBuf [4]byte
-	var recBuf []byte
-	for i := 0; i < h.numSets; i++ {
-		if i%blockSize == 0 {
-			blockOff[i/blockSize] = off
-		}
-		if remaining < 4 {
-			return h, nil, fmt.Errorf("%w: payload exhausted at RR set %d", ErrCorrupt, i)
-		}
-		if _, err := io.ReadFull(tee, lenBuf[:]); err != nil {
-			return h, nil, readErr(err)
-		}
-		remaining -= 4
-		count := binary.LittleEndian.Uint32(lenBuf[:])
-		if uint64(count) > uint64(h.n) {
-			return h, nil, fmt.Errorf("%w: RR set %d claims %d members on a %d-vertex graph", ErrCorrupt, i, count, h.n)
-		}
-		need := 4 * uint64(count)
-		if need > remaining {
-			return h, nil, fmt.Errorf("%w: RR set %d overruns payload", ErrCorrupt, i)
-		}
-		if need > maxRecordBuf {
-			return h, nil, fmt.Errorf("%w: RR set %d record of %d bytes exceeds limit", ErrCorrupt, i, need)
-		}
-		if uint64(cap(recBuf)) < need {
-			recBuf = make([]byte, need)
-		}
-		buf := recBuf[:need]
-		if _, err := io.ReadFull(tee, buf); err != nil {
-			return h, nil, readErr(err)
-		}
-		remaining -= need
-		for j := 0; j < int(count); j++ {
-			if v := binary.LittleEndian.Uint32(buf[4*j:]); uint64(v) >= uint64(h.n) {
-				return h, nil, fmt.Errorf("%w: RR set %d contains vertex %d outside [0, %d)", ErrCorrupt, i, v, h.n)
-			}
-		}
-		off += 4 + need
-	}
-	if remaining != 0 {
-		return h, nil, fmt.Errorf("%w: %d unread payload bytes after last RR set", ErrCorrupt, remaining)
-	}
-	blockOff[numBlocks] = off
-	var tail [4]byte
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return h, nil, readErr(err)
-	}
-	if binary.LittleEndian.Uint32(tail[:]) != crc.Sum32() {
-		return h, nil, ErrChecksum
-	}
-	return h, blockOff, nil
-}
-
-// writeShard atomically writes one shard sketch: a fresh sharded header and
-// lineage extension, the input's payload bytes [payLo, payHi) copied verbatim
-// from in, and a new trailing CRC-32C over what this file actually contains.
-func writeShard(in *os.File, h header, path string, numSets int, payLo, payHi uint64, lineage core.ShardLineage) error {
-	dir, base := splitPath(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
+	shard, err := core.NewOracleFromMemberIndex(n, o.Model(), o.BuildSeed(), setHi-setLo, shardOffsets, shardEntries)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-
-	crc := crc32.New(castagnoliTab)
-	bw := bufio.NewWriterSize(io.MultiWriter(tmp, crc), 1<<16)
-
-	hdr := make([]byte, headerLen+lineageLen)
-	copy(hdr, magic)
-	binary.LittleEndian.PutUint16(hdr[4:], Version)
-	hdr[6] = byte(h.model)
-	hdr[7] = flagSharded
-	binary.LittleEndian.PutUint64(hdr[8:], h.seed)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(h.n))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(numSets))
-	binary.LittleEndian.PutUint64(hdr[32:], payHi-payLo)
-	binary.LittleEndian.PutUint64(hdr[headerLen:], uint64(lineage.Index))
-	binary.LittleEndian.PutUint64(hdr[headerLen+8:], uint64(lineage.Count))
-	binary.LittleEndian.PutUint64(hdr[headerLen+16:], uint64(lineage.TotalSets))
-	if _, err := bw.Write(hdr); err != nil {
-		_ = tmp.Close()
+	if err := shard.SetShardLineage(lineage); err != nil {
 		return err
 	}
-	// The section reader gives this copy its own read offset into the
-	// validated input, independent of the scan's buffered reader. The byte
-	// range was measured record by record in scanBlocks, so the copy length
-	// is already bounds-checked against the payload.
-	sr := io.NewSectionReader(in, headerLen+int64(payLo), int64(payHi-payLo))
-	if _, err := io.Copy(bw, sr); err != nil {
-		_ = tmp.Close()
-		return readErr(err)
-	}
-	if err := bw.Flush(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	if _, err := tmp.Write(tail[:]); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return WriteFile(path, shard)
 }

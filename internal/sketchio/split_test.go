@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"imdist/internal/core"
@@ -57,8 +59,12 @@ func TestLineageRoundTrip(t *testing.T) {
 	if fi.Shard != lineage {
 		t.Errorf("Inspect lineage %+v, want %+v", fi.Shard, lineage)
 	}
-	if len(fi.Sections) != 4 || fi.Sections[1].Name != "lineage" {
-		t.Errorf("sections = %+v, want header/lineage/payload/checksum", fi.Sections)
+	var names []string
+	for _, sec := range fi.Sections {
+		names = append(names, sec.Name)
+	}
+	if want := []string{"header", "lineage", "offsets", "entries", "checksum"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("sections = %v, want %v", names, want)
 	}
 }
 
@@ -100,6 +106,10 @@ func fixCRC(c []byte) {
 	binary.LittleEndian.PutUint32(c[len(c)-4:], sum)
 }
 
+// TestSplitSketchRoundTrip splits a multi-block sketch into 1–4 and 7 shards
+// and compares each shard's member lists with the original's: shard i's list
+// for vertex v must be the part of v's list inside the shard's set range,
+// rebased to start at 0.
 func TestSplitSketchRoundTrip(t *testing.T) {
 	o := karateOracle(t, 1000, 7)
 	dir := t.TempDir()
@@ -107,8 +117,9 @@ func TestSplitSketchRoundTrip(t *testing.T) {
 	if err := WriteFile(in, o); err != nil {
 		t.Fatal(err)
 	}
+	offsets, entries := o.MemberIndex()
 	const blockSize = 128 // 1000 sets -> 8 blocks
-	for _, shards := range []int{1, 2, 4, 7} {
+	for _, shards := range []int{1, 2, 3, 4, 7} {
 		paths, err := splitSketch(in, filepath.Join(dir, "part"), shards, blockSize)
 		if err != nil {
 			t.Fatalf("split into %d: %v", shards, err)
@@ -116,7 +127,7 @@ func TestSplitSketchRoundTrip(t *testing.T) {
 		if len(paths) != shards {
 			t.Fatalf("split into %d returned %d paths", shards, len(paths))
 		}
-		totalSets := 0
+		setLo := 0
 		for i, p := range paths {
 			shard, err := ReadFile(p)
 			if err != nil {
@@ -130,24 +141,24 @@ func TestSplitSketchRoundTrip(t *testing.T) {
 			if shard.NumVertices() != o.NumVertices() || shard.Model() != o.Model() || shard.BuildSeed() != o.BuildSeed() {
 				t.Errorf("shard %d identity drifted", i)
 			}
-			// Shard i's sets are the contiguous slice of the original pool,
-			// record for record.
-			for j := 0; j < shard.NumSets(); j++ {
-				wantSet := o.RRSet(totalSets + j)
-				gotSet := shard.RRSet(j)
-				if len(gotSet) != len(wantSet) {
-					t.Fatalf("shard %d set %d: %d members, want %d", i, j, len(gotSet), len(wantSet))
-				}
-				for k := range wantSet {
-					if gotSet[k] != wantSet[k] {
-						t.Fatalf("shard %d set %d member %d: %d, want %d", i, j, k, gotSet[k], wantSet[k])
+			setHi := setLo + shard.NumSets()
+			shardOffsets, shardEntries := shard.MemberIndex()
+			for v := range o.NumVertices() {
+				var wantList []int32
+				for _, id := range entries[offsets[v]:offsets[v+1]] {
+					if int(id) >= setLo && int(id) < setHi {
+						wantList = append(wantList, id-int32(setLo))
 					}
 				}
+				gotList := shardEntries[shardOffsets[v]:shardOffsets[v+1]]
+				if !slices.Equal(gotList, wantList) {
+					t.Fatalf("%d shards, shard %d, vertex %d: member list %v, want %v", shards, i, v, gotList, wantList)
+				}
 			}
-			totalSets += shard.NumSets()
+			setLo = setHi
 		}
-		if totalSets != 1000 {
-			t.Errorf("split into %d covers %d sets, want 1000", shards, totalSets)
+		if setLo != 1000 {
+			t.Errorf("split into %d covers %d sets, want 1000", shards, setLo)
 		}
 	}
 }
