@@ -8,21 +8,25 @@
 // internal/server's Frontend — the same handler set a single process runs —
 // with a fleet backend (fleet.go) in place of a loaded sketch. The identity
 // argument is the batch engine's merge algebra taken over the network: every
-// shard primitive (/v1/shard/coverage, /v1/shard/marginal) returns exact
-// integer RR-set counts, integers sum exactly in any order, and the shared
-// handlers perform the one float division by the fleet-wide RR-set total —
-// the same expression, on the same integers, as on the unsplit oracle.
-// Greedy seed selection runs core.CELF, the loop behind
-// core.Oracle.GreedySeeds, over summed per-shard marginal counts; top-k
-// ranks the summed per-vertex counts with core.TopVertices. The gather work
-// is proportional to the answer (counts and candidate gains), never to
-// shards × RR sets.
+// shard primitive (/v1/shard/coverage, /v1/shard/marginal, /v1/shard/top)
+// returns exact integer RR-set counts, integers sum exactly in any order,
+// and the shared handlers perform the one float division by the fleet-wide
+// RR-set total — the same expression, on the same integers, as on the
+// unsplit oracle. Top-k and greedy seed selection read each shard's ranking
+// by count page by page, only as deep as the answer needs: top-k is
+// core.TopPaged, Fagin's threshold algorithm, and greedy runs core.CELF, the
+// loop behind core.Oracle.GreedySeeds, seeded from the same pages and over
+// summed per-shard marginal counts. The gather is proportional to the
+// answer (the ranking pages it reads, one count per query item, one gain per
+// re-scored candidate), not to the vertex count × shards or to the RR sets.
 //
 // The coordinator holds no state besides its target list: every response
 // carries the shard's identity (build identity + lineage), and the
-// coordinator re-verifies fleet assembly on every gather — duplicated or
+// coordinator verifies fleet assembly on every query — duplicated or
 // missing shard indexes, mixed builds or splits, and wrong fleet sizes are
-// rejected as 502s naming the offending target. Shards are therefore free to
+// rejected as 502s naming the offending target, as are ranking pages that
+// break their contract and identities that change between the scatters of
+// one query. Shards are therefore free to
 // hot-reload through their own admin API at any time; an unreachable shard
 // degrades the coordinator to 503s naming the missing target until it
 // returns. No coordinator-side caching: the shard servers answer from their
@@ -43,11 +47,16 @@ import (
 )
 
 const (
-	// greedyBatch is how many stale CELF entries are re-evaluated per
-	// scatter round: large enough to amortize the RPC, small enough that most
-	// re-evaluations are not wasted on entries that stay buried in the heap.
-	// The selection does not depend on it (see internal/core/marginal.go).
-	greedyBatch = 128
+	// greedyBatch is how many stale CELF entries the first re-evaluation of
+	// each pick re-scores in one scatter; the loop doubles it while the heap
+	// top stays stale. It amortizes the RPC without wasting most
+	// re-evaluations on entries that stay buried in the heap. The selection
+	// does not depend on it (see internal/core/marginal.go).
+	greedyBatch = 64
+	// pageSize is how many ranking entries the first /v1/shard/top page of a
+	// query asks each shard for; each later page doubles. The answers do not
+	// depend on it (see internal/core/rank.go).
+	pageSize = 64
 	// DefaultMaxIdleConnsPerHost sizes the pooled transport's per-shard idle
 	// connection pool. net/http's default of 2 would reopen connections on
 	// every concurrent scatter.
@@ -79,8 +88,9 @@ type Coordinator struct {
 	cfg    Config
 	client *http.Client
 	start  time.Time
-	// greedyBatch is the greedyBatch constant; tests vary it.
-	greedyBatch int
+	// greedyBatch and pageSize are the constants of the same name; tests
+	// vary them.
+	greedyBatch, pageSize int
 }
 
 // New validates cfg, fills in defaults and returns a ready Coordinator.
@@ -103,6 +113,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}},
 		start:       time.Now(),
 		greedyBatch: greedyBatch,
+		pageSize:    pageSize,
 	}
 	c.Frontend = server.NewFrontend(cfg.Limits, c.fleetFor)
 	c.HandleFunc("GET /healthz", c.handleHealthz)

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,6 +52,12 @@ func buildSketchFile(t testing.TB, model diffusion.Model, numSets int, seed uint
 // serveSketchFile launches one shard server on the sketch file at path.
 func serveSketchFile(t testing.TB, path string) *httptest.Server {
 	t.Helper()
+	return serveSketchLimits(t, path, server.Limits{})
+}
+
+// serveSketchLimits is serveSketchFile under the given request limits.
+func serveSketchLimits(t testing.TB, path string, limits server.Limits) *httptest.Server {
+	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +67,7 @@ func serveSketchFile(t testing.TB, path string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := server.New(server.Config{Oracle: o})
+	s, err := server.New(server.Config{Oracle: o, Limits: limits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +81,12 @@ func serveSketchFile(t testing.TB, path string) *httptest.Server {
 // shard server per file, returning the coordinator target list.
 func launchFleet(t testing.TB, path string, shards int) []string {
 	t.Helper()
+	return launchFleetLimits(t, path, shards, server.Limits{})
+}
+
+// launchFleetLimits is launchFleet with every shard server under limits.
+func launchFleetLimits(t testing.TB, path string, shards int, limits server.Limits) []string {
+	t.Helper()
 	paths := []string{path}
 	if shards > 1 {
 		var err error
@@ -83,21 +97,34 @@ func launchFleet(t testing.TB, path string, shards int) []string {
 	}
 	targets := make([]string, len(paths))
 	for i, p := range paths {
-		targets[i] = serveSketchFile(t, p).URL
+		targets[i] = serveSketchLimits(t, p, limits).URL
 	}
 	return targets
 }
 
 func newCoordinator(t testing.TB, cfg Config) *httptest.Server {
 	t.Helper()
+	return newCoordinatorPaged(t, cfg, pageSize, greedyBatch)
+}
+
+// newCoordinatorPaged is newCoordinator with the first ranking page and the
+// starting greedy batch set to page and batch.
+func newCoordinatorPaged(t testing.TB, cfg Config, page, batch int) *httptest.Server {
+	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.pageSize, c.greedyBatch = page, batch
 	ts := httptest.NewServer(c.Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
+
+// pageSizes are the first-page sizes the equivalence suites run at: Karate
+// has 34 vertices, so the default page returns every vertex at once and only
+// the small pages page.
+var pageSizes = []int{1, 3, pageSize}
 
 func get(t testing.TB, url string) (int, []byte) {
 	t.Helper()
@@ -147,6 +174,7 @@ var equivalenceQueries = []struct {
 	{"top", "GET", "/v1/top?k=10", ""},
 	{"top-default", "GET", "/v1/top", ""},
 	{"top-all", "GET", "/v1/top?k=34", ""},
+	{"top-beyond-n", "GET", "/v1/top?k=50", ""},
 	{"top-bad-k", "GET", "/v1/top?k=oops", ""},
 	// An id beyond int32 must not be merged with the id it wraps to (5).
 	{"batch-int32-wrap", "POST", "/v1/influence:batch", `[{"seeds":[5]},{"seeds":[4294967301]}]`},
@@ -170,36 +198,45 @@ func runQuery(t testing.TB, base string, q struct{ name, method, path, body stri
 // TestCoordinatorEquivalence is the acceptance gate of the distributed tier:
 // a coordinator over 1-, 2- and 4-shard fleets answers every public query
 // byte-identically to one process serving the unsplit sketch, for both
-// diffusion models.
+// diffusion models and at every first-page size. The max-seeds case runs
+// both sides with a public seed limit of 8, which must not limit greedy.
 func TestCoordinatorEquivalence(t *testing.T) {
 	cases := []struct {
+		name    string
 		model   diffusion.Model
 		numSets int
 		shards  []int
+		limits  server.Limits
 	}{
 		// 4 blocks: splits 1, 2 and 4 ways (2-shard split is uneven-free; the
 		// 4-way split exercises one block per shard).
-		{diffusion.IC, 4 * core.DefaultBatchShardSize, []int{1, 2, 4}},
+		{"IC", diffusion.IC, 4 * core.DefaultBatchShardSize, []int{1, 2, 4}, server.Limits{}},
 		// 2 blocks under LT: a second model through the same merge path.
-		{diffusion.LT, 2 * core.DefaultBatchShardSize, []int{2}},
+		{"LT", diffusion.LT, 2 * core.DefaultBatchShardSize, []int{2}, server.Limits{}},
+		{"max-seeds", diffusion.IC, 2 * core.DefaultBatchShardSize, []int{2}, server.Limits{MaxSeeds: 8}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.model.String(), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			path := buildSketchFile(t, tc.model, tc.numSets, 7)
-			single := serveSketchFile(t, path)
+			single := serveSketchLimits(t, path, tc.limits)
 			for _, shards := range tc.shards {
 				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-					coord := newCoordinator(t, Config{Targets: launchFleet(t, path, shards)})
-					for _, q := range equivalenceQueries {
-						wantStatus, wantBody := runQuery(t, single.URL, q)
-						gotStatus, gotBody := runQuery(t, coord.URL, q)
-						if gotStatus != wantStatus {
-							t.Errorf("%s: status %d, single process %d (%s)", q.name, gotStatus, wantStatus, gotBody)
-							continue
-						}
-						if string(gotBody) != string(wantBody) {
-							t.Errorf("%s: coordinator answer diverges\n got: %s\nwant: %s", q.name, gotBody, wantBody)
-						}
+					targets := launchFleetLimits(t, path, shards, tc.limits)
+					for _, page := range pageSizes {
+						t.Run(fmt.Sprintf("page=%d", page), func(t *testing.T) {
+							coord := newCoordinatorPaged(t, Config{Targets: targets, Limits: tc.limits}, page, greedyBatch)
+							for _, q := range equivalenceQueries {
+								wantStatus, wantBody := runQuery(t, single.URL, q)
+								gotStatus, gotBody := runQuery(t, coord.URL, q)
+								if gotStatus != wantStatus {
+									t.Errorf("%s: status %d, single process %d (%s)", q.name, gotStatus, wantStatus, gotBody)
+									continue
+								}
+								if string(gotBody) != string(wantBody) {
+									t.Errorf("%s: coordinator answer diverges\n got: %s\nwant: %s", q.name, gotBody, wantBody)
+								}
+							}
+						})
 					}
 				})
 			}
@@ -208,8 +245,9 @@ func TestCoordinatorEquivalence(t *testing.T) {
 }
 
 // TestCoordinatorGreedyBatchSizes pins distributed greedy to the single
-// process at several greedy batch sizes: the CELF loop selects the same
-// sequence however many stale entries each scatter re-evaluates. Requests run
+// process at several starting batch sizes and first-page sizes: the CELF
+// loop selects the same sequence however many stale entries each scatter
+// re-evaluates and however deep each ranking page reads. Requests run
 // concurrently, so the shards' pooled covered state and the coordinator's
 // per-call loop state are exercised by overlapping selections.
 func TestCoordinatorGreedyBatchSizes(t *testing.T) {
@@ -225,32 +263,28 @@ func TestCoordinatorGreedyBatchSizes(t *testing.T) {
 		}
 		want[i] = string(raw)
 	}
-	for _, batch := range []int{1, 3, greedyBatch} {
-		c, err := New(Config{Targets: targets})
-		if err != nil {
-			t.Fatal(err)
+	for _, page := range pageSizes {
+		for _, batch := range []int{1, 3, greedyBatch} {
+			coord := newCoordinatorPaged(t, Config{Targets: targets}, page, batch)
+			var wg sync.WaitGroup
+			for i, body := range bodies {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					resp, err := http.Post(coord.URL+"/v1/seeds", "application/json", strings.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					raw, err := io.ReadAll(resp.Body)
+					if err != nil || resp.StatusCode != http.StatusOK || string(raw) != want[i] {
+						t.Errorf("page %d, batch %d, %s: status %d err %v\n got: %s\nwant: %s", page, batch, body, resp.StatusCode, err, raw, want[i])
+					}
+				}()
+			}
+			wg.Wait()
 		}
-		c.greedyBatch = batch
-		coord := httptest.NewServer(c.Handler())
-		t.Cleanup(coord.Close)
-		var wg sync.WaitGroup
-		for i, body := range bodies {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := http.Post(coord.URL+"/v1/seeds", "application/json", strings.NewReader(body))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer resp.Body.Close()
-				raw, err := io.ReadAll(resp.Body)
-				if err != nil || resp.StatusCode != http.StatusOK || string(raw) != want[i] {
-					t.Errorf("batch %d, %s: status %d err %v\n got: %s\nwant: %s", batch, body, resp.StatusCode, err, raw, want[i])
-				}
-			}()
-		}
-		wg.Wait()
 	}
 }
 
@@ -429,6 +463,116 @@ func TestCoordinatorShardRejectsValidSet(t *testing.T) {
 	}
 }
 
+// garbledShard serves the shard sketch at path through a real shard
+// server, except that every /v1/shard/top request is answered by garble,
+// which may ask the real shard for any page and edit what it returns.
+func garbledShard(t *testing.T, path string, garble func(req server.ShardTopRequest, page func(server.ShardTopRequest) server.ShardTopResponse) server.ShardTopResponse) *httptest.Server {
+	t.Helper()
+	real := serveSketchFile(t, path)
+	target, err := url.Parse(real.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	page := func(req server.ShardTopRequest) server.ShardTopResponse {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Error(err)
+		}
+		status, body := postJSON(t, real.URL+"/v1/shard/top", string(raw))
+		var resp server.ShardTopResponse
+		if err := json.Unmarshal(body, &resp); status != http.StatusOK || err != nil {
+			t.Errorf("real shard page: status %d (%v): %s", status, err, body)
+		}
+		return resp
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/shard/top" {
+			proxy.ServeHTTP(w, r)
+			return
+		}
+		var req server.ShardTopRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Error(err)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(garble(req, page))
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestCoordinatorRejectsGarbledPages puts a shard whose ranking pages break
+// the page contract behind a real coordinator: each garbled page fails
+// /v1/top and /v1/seeds as a 502 naming that shard, never a wrong answer.
+// Pages of 3 make every query read several pages.
+func TestCoordinatorRejectsGarbledPages(t *testing.T) {
+	path := buildSketchFile(t, diffusion.IC, 2*core.DefaultBatchShardSize, 7)
+	paths, err := sketchio.SplitSketch(path, filepath.Join(t.TempDir(), "fleet"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := serveSketchFile(t, paths[0])
+	type pageFunc = func(server.ShardTopRequest) server.ShardTopResponse
+	edit := func(mutate func(req server.ShardTopRequest, resp *server.ShardTopResponse)) func(server.ShardTopRequest, pageFunc) server.ShardTopResponse {
+		return func(req server.ShardTopRequest, page pageFunc) server.ShardTopResponse {
+			resp := page(req)
+			mutate(req, &resp)
+			return resp
+		}
+	}
+	cases := []struct {
+		name   string
+		garble func(server.ShardTopRequest, pageFunc) server.ShardTopResponse
+		want   string
+	}{
+		{"vertex out of range", edit(func(_ server.ShardTopRequest, resp *server.ShardTopResponse) {
+			resp.Entries[0][1] = int64(resp.Vertices)
+		}), "is not a [count, vertex] pair"},
+		{"count above num_sets", edit(func(_ server.ShardTopRequest, resp *server.ShardTopResponse) {
+			resp.Entries[0][0] = int64(resp.NumSets) + 1
+		}), "is not a [count, vertex] pair"},
+		{"repeated vertex", edit(func(_ server.ShardTopRequest, resp *server.ShardTopResponse) {
+			resp.Entries[1] = [2]int64{resp.Entries[0][0] - 1, resp.Entries[0][1]}
+		}), "repeats vertex"},
+		{"out of order", edit(func(_ server.ShardTopRequest, resp *server.ShardTopResponse) {
+			resp.Entries[0], resp.Entries[1] = resp.Entries[1], resp.Entries[0]
+		}), "does not follow"},
+		{"not after cursor", edit(func(req server.ShardTopRequest, resp *server.ShardTopResponse) {
+			if req.After != nil {
+				resp.Entries = append([][2]int64{*req.After}, resp.Entries[:len(resp.Entries)-1]...)
+			}
+		}), "does not follow"},
+		{"more than requested", func(req server.ShardTopRequest, page pageFunc) server.ShardTopResponse {
+			req.Limit++
+			return page(req)
+		}, "requested"},
+		{"ends early", edit(func(_ server.ShardTopRequest, resp *server.ShardTopResponse) {
+			resp.Entries = resp.Entries[:len(resp.Entries)-1]
+		}), "unranked"},
+		{"identity changed mid-query", edit(func(req server.ShardTopRequest, resp *server.ShardTopResponse) {
+			if req.After != nil {
+				resp.BuildSeed++
+			}
+		}), "identity changed"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := garbledShard(t, paths[1], tc.garble)
+			coord := newCoordinatorPaged(t, Config{Targets: []string{good.URL, bad.URL}}, 3, greedyBatch)
+			for _, q := range []struct{ name, method, path, body string }{
+				{"top", "GET", "/v1/top?k=34", ""},
+				{"seeds", "POST", "/v1/seeds", `{"k":34}`},
+			} {
+				status, raw := runQuery(t, coord.URL, q)
+				if status != http.StatusBadGateway || !strings.Contains(string(raw), bad.URL) || !strings.Contains(string(raw), tc.want) {
+					t.Errorf("%s: status %d: %s, want 502 naming %s and %q", q.name, status, raw, bad.URL, tc.want)
+				}
+			}
+		})
+	}
+}
+
 // TestCoordinatorNamedRoutes exercises the /v1/sketches/{name}/... variants:
 // the coordinator forwards the path's sketch name to the shard fleet, and an
 // unknown name passes the shards' 404 through byte-identically.
@@ -475,7 +619,7 @@ func TestNewConfigValidation(t *testing.T) {
 	if got := c.cfg.Targets[0]; got != "http://127.0.0.1:8080" {
 		t.Errorf("target not normalized: %q", got)
 	}
-	if c.greedyBatch != greedyBatch || c.Limits().MaxK != server.DefaultMaxK {
-		t.Errorf("defaults not applied: greedy batch %d, %+v", c.greedyBatch, c.Limits())
+	if c.greedyBatch != greedyBatch || c.pageSize != pageSize || c.Limits().MaxK != server.DefaultMaxK {
+		t.Errorf("defaults not applied: greedy batch %d, page %d, %+v", c.greedyBatch, c.pageSize, c.Limits())
 	}
 }

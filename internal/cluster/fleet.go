@@ -4,15 +4,17 @@ package cluster
 // query handlers answer from merged integer counts exactly as they answer
 // from one loaded sketch.
 //
-// Distributed greedy seed selection is core.CELF — the loop behind
-// core.Oracle.GreedySeeds — with a fleet-wide /v1/shard/marginal scatter as
-// its marginal-gain primitive. The summed per-shard gains are exactly the
-// unsplit sketch's, and the loop's (gain desc, id asc) selection does not
-// depend on how many stale entries each evaluation re-scores (see
-// internal/core/marginal.go), so the fleet selects the unsplit sketch's seed
-// sequence vertex for vertex. Stale entries are re-evaluated in batches of
-// greedyBatch per scatter, so the RPC count per round is O(stale/batch), not
-// O(n).
+// Top-k and greedy seed selection read the shards' rankings page by page
+// (/v1/shard/top) instead of gathering every vertex's count. Top-k is
+// core.TopPaged, Fagin's threshold algorithm over the pages; greedy is
+// core.CELF — the loop behind core.Oracle.GreedySeeds — seeded from the same
+// pages, with a fleet-wide /v1/shard/marginal scatter as its marginal-gain
+// primitive. The summed per-shard gains are exactly the unsplit sketch's,
+// and neither loop's (count desc, id asc) answer depends on the page size or
+// on how many stale entries each evaluation re-scores (see
+// internal/core/marginal.go and rank.go), so the fleet answers with the
+// unsplit sketch's ranking and seed sequence vertex for vertex, after
+// gathering O(pages + rounds × batch) counts rather than O(n × shards).
 
 import (
 	"context"
@@ -34,6 +36,10 @@ type fleet struct {
 	sketch string
 }
 
+func (f *fleet) query(ctx context.Context) *query {
+	return &query{c: f.c, ctx: ctx, sketch: f.sketch}
+}
+
 func (f *fleet) Coverage(ctx context.Context, seeds []int) (int64, core.Scale, error) {
 	counts, scale, err := f.BatchCoverage(ctx, [][]int{seeds})
 	if err != nil {
@@ -43,50 +49,32 @@ func (f *fleet) Coverage(ctx context.Context, seeds []int) (int64, core.Scale, e
 }
 
 func (f *fleet) BatchCoverage(ctx context.Context, seedSets [][]int) ([]int64, core.Scale, error) {
-	counts, view, err := f.c.scatterCoverage(ctx, f.sketch, seedSets)
+	q := f.query(ctx)
+	counts, err := q.coverage(seedSets)
 	if err != nil {
 		return nil, core.Scale{}, statusError(err)
 	}
-	return counts, view.scale(), nil
+	return counts, q.view.scale(), nil
 }
 
 // Greedy selects the same seed sequence, with the same coverage, as
 // GreedyCoverage on the unsplit sketch; k is clamped to the vertex count.
 func (f *fleet) Greedy(ctx context.Context, k int) ([]graph.VertexID, int64, core.Scale, error) {
-	// Round 0: every vertex's membership count in one all-vertex scatter
-	// (seeds empty, candidates nil).
-	initial, view, err := f.c.scatterMarginal(ctx, f.sketch, nil, nil)
+	q := f.query(ctx)
+	seeds, covered, err := core.CELF(k, nil, q.pages(), f.c.greedyBatch, q.marginal)
 	if err != nil {
 		return nil, 0, core.Scale{}, statusError(err)
 	}
-	marginal := func(seeds, candidates []graph.VertexID, gains []int64) error {
-		got, v, err := f.c.scatterMarginal(ctx, f.sketch, toInts(seeds), toInts(candidates))
-		if err != nil {
-			return err
-		}
-		// A shard hot-reloaded to a different sketch mid-selection would make
-		// the rounds' gains incomparable; rather than merge counts from two
-		// different builds, fail the query — the client's retry starts clean.
-		if v != view {
-			return errors.New("fleet identity changed during seed selection (sketch reloaded mid-query); retry")
-		}
-		copy(gains, got)
-		return nil
-	}
-	seeds, covered, err := core.CELF(k, initial, f.c.greedyBatch, marginal)
-	if err != nil {
-		return nil, 0, core.Scale{}, statusError(err)
-	}
-	return seeds, covered, view.scale(), nil
+	return seeds, covered, q.view.scale(), nil
 }
 
 func (f *fleet) Top(ctx context.Context, k int) ([]graph.VertexID, []int64, core.Scale, error) {
-	counts, view, err := f.c.scatterMarginal(ctx, f.sketch, nil, nil)
+	q := f.query(ctx)
+	vs, counts, err := core.TopPaged(k, q.pages(), q.marginal)
 	if err != nil {
 		return nil, nil, core.Scale{}, statusError(err)
 	}
-	vs, top := core.TopVertices(counts, k)
-	return vs, top, view.scale(), nil
+	return vs, counts, q.view.scale(), nil
 }
 
 // statusError maps a scatter failure to the status it is served with. A

@@ -2,7 +2,8 @@ package cluster
 
 // Scatter-gather plumbing: fan a shard request out to every target over the
 // pooled transport, verify from the identity echoes that the responses really
-// assemble the fleet the coordinator fronts, and merge the integer counts.
+// assemble the fleet the coordinator fronts, and merge the integer counts and
+// the ranking pages.
 
 import (
 	"bytes"
@@ -16,6 +17,7 @@ import (
 	"sync"
 
 	"imdist/internal/core"
+	"imdist/internal/graph"
 	"imdist/internal/server"
 )
 
@@ -138,50 +140,88 @@ func verifyFleet(targets []string, ids []server.ShardIdentity) (fleetView, error
 	}, nil
 }
 
-// scatter posts body to path on every target concurrently, decodes each 200
-// response into a T, and verifies from the identity echoes that the
-// responses assemble the fleet.
-func scatter[T interface{ Identity() server.ShardIdentity }](ctx context.Context, c *Coordinator, path string, body any) ([]T, fleetView, error) {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return nil, fleetView{}, fmt.Errorf("cluster: encoding shard request: %w", err)
-	}
-	resps := make([]T, len(c.cfg.Targets))
-	errs := make([]error, len(c.cfg.Targets))
+// query is one public query's conversation with the fleet. Its first
+// scatter verifies that the shards assemble the fleet and pins each target's
+// identity; every later scatter of the query must see the same identities,
+// target for target, or the query fails naming the shard that changed (a
+// hot reload mid-query would make the rounds' counts incomparable). A query
+// lives for one request: the coordinator keeps nothing between requests.
+type query struct {
+	c      *Coordinator
+	ctx    context.Context
+	sketch string
+	ids    []server.ShardIdentity
+	view   fleetView
+}
+
+// scatter posts payloads[i] to the shard primitive kind on target i — or
+// payloads[0] to every target, when it holds one payload — concurrently,
+// decodes each 200 response into a T, and checks the identity echoes as
+// described on query.
+func scatter[T interface{ Identity() server.ShardIdentity }](q *query, kind string, payloads [][]byte) ([]T, error) {
+	targets := q.c.cfg.Targets
+	path := shardPath(q.sketch, kind)
+	resps := make([]T, len(targets))
+	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
-	for i, target := range c.cfg.Targets {
+	for i, target := range targets {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = c.shardJSON(ctx, http.MethodPost, target, path, payload, &resps[i])
+			errs[i] = q.c.shardJSON(q.ctx, http.MethodPost, target, path, payloads[i%len(payloads)], &resps[i])
 		}()
 	}
 	wg.Wait()
 	ids := make([]server.ShardIdentity, len(resps))
 	for i := range resps {
 		if errs[i] != nil {
-			return nil, fleetView{}, errs[i]
+			return nil, errs[i]
 		}
 		ids[i] = resps[i].Identity()
 	}
-	view, err := verifyFleet(c.cfg.Targets, ids)
-	return resps, view, err
+	if q.ids == nil {
+		view, err := verifyFleet(targets, ids)
+		if err != nil {
+			return nil, err
+		}
+		q.ids, q.view = ids, view
+		return resps, nil
+	}
+	for i, id := range ids {
+		if id != q.ids[i] {
+			return nil, &shardError{target: targets[i],
+				err: errors.New("shard identity changed during the query (sketch reloaded mid-query); retry")}
+		}
+	}
+	return resps, nil
 }
 
-// scatterCoverage returns the fleet-wide coverage count of every canonical
-// seed set. Shards reject exactly the sets reaching outside the vertex
-// range, which the query handlers reject themselves; any other rejection is
-// a shard failure, since that shard's count is missing from the sum.
-func (c *Coordinator) scatterCoverage(ctx context.Context, sketch string, seedSets [][]int) ([]int64, fleetView, error) {
-	resps, view, err := scatter[server.ShardCoverageResponse](ctx, c, shardPath(sketch, "coverage"),
-		server.ShardCoverageRequest{SeedSets: seedSets})
+// encode is the one payload a scatter sends to every target.
+func encode(body any) ([][]byte, error) {
+	payload, err := json.Marshal(body)
 	if err != nil {
-		return nil, view, err
+		return nil, fmt.Errorf("cluster: encoding shard request: %w", err)
+	}
+	return [][]byte{payload}, nil
+}
+
+// coverage returns the fleet-wide coverage count of every canonical seed
+// set. Shards reject exactly the sets reaching outside the vertex range,
+// which the query handlers reject themselves; any other rejection is a shard
+// failure, since that shard's count is missing from the sum.
+func (q *query) coverage(seedSets [][]int) ([]int64, error) {
+	payloads, err := encode(server.ShardCoverageRequest{SeedSets: seedSets})
+	if err != nil {
+		return nil, err
+	}
+	resps, err := scatter[server.ShardCoverageResponse](q, "coverage", payloads)
+	if err != nil {
+		return nil, err
 	}
 	counts := make([]int64, len(seedSets))
 	for i, resp := range resps {
 		if len(resp.Counts) != len(seedSets) || len(resp.Errors) > len(seedSets) {
-			return nil, view, &shardError{target: c.cfg.Targets[i],
+			return nil, &shardError{target: q.c.cfg.Targets[i],
 				err: fmt.Errorf("returned %d counts and %d errors for %d seed sets", len(resp.Counts), len(resp.Errors), len(seedSets))}
 		}
 		for j, n := range resp.Counts {
@@ -189,38 +229,94 @@ func (c *Coordinator) scatterCoverage(ctx context.Context, sketch string, seedSe
 		}
 		for j, msg := range resp.Errors {
 			s := seedSets[j]
-			outside := len(s) > 0 && (s[0] < 0 || s[len(s)-1] >= view.vertices)
+			outside := len(s) > 0 && (s[0] < 0 || s[len(s)-1] >= q.view.vertices)
 			if msg != "" && !outside {
-				return nil, view, &shardError{target: c.cfg.Targets[i],
+				return nil, &shardError{target: q.c.cfg.Targets[i],
 					err: fmt.Errorf("rejected seed set %v: %s", s, msg)}
 			}
 		}
 	}
-	return counts, view, nil
+	return counts, nil
 }
 
-// scatterMarginal returns the fleet-wide marginal gain of every candidate
-// on top of seeds (every vertex in ascending id order when candidates is
-// nil).
-func (c *Coordinator) scatterMarginal(ctx context.Context, sketch string, seeds, candidates []int) ([]int64, fleetView, error) {
-	resps, view, err := scatter[server.ShardMarginalResponse](ctx, c, shardPath(sketch, "marginal"),
-		server.ShardMarginalRequest{Seeds: seeds, Candidates: candidates})
+// marginal is the fleet's core.MarginalFunc: each candidate's gain on top of
+// seeds, summed over the shards.
+func (q *query) marginal(seeds, candidates []graph.VertexID, gains []int64) error {
+	payloads, err := encode(server.ShardMarginalRequest{Seeds: toInts(seeds), Candidates: toInts(candidates)})
 	if err != nil {
-		return nil, view, err
+		return err
 	}
-	want := len(candidates)
-	if candidates == nil {
-		want = view.vertices
+	resps, err := scatter[server.ShardMarginalResponse](q, "marginal", payloads)
+	if err != nil {
+		return err
 	}
-	gains := make([]int64, want)
+	clear(gains)
 	for i, resp := range resps {
-		if len(resp.Gains) != want {
-			return nil, view, &shardError{target: c.cfg.Targets[i],
-				err: fmt.Errorf("returned %d gains for %d candidates", len(resp.Gains), want)}
+		if len(resp.Gains) != len(candidates) {
+			return &shardError{target: q.c.cfg.Targets[i],
+				err: fmt.Errorf("returned %d gains for %d candidates", len(resp.Gains), len(candidates))}
 		}
 		for j, n := range resp.Gains {
 			gains[j] += n
 		}
 	}
-	return gains, view, nil
+	return nil
+}
+
+// pages returns a core.Pager over the shards' rankings: each call reads the
+// next page of every shard's /v1/shard/top, after that shard's last entry,
+// and merges the round with core.ShardRanking. The first page holds
+// pageSize entries and each later one twice its predecessor (up to the
+// vertex count), so reading a ranking to depth d takes O(log d) rounds and
+// gathers at most about twice what the answer needs.
+//
+// Every page is checked before its bounds are trusted: entries must be
+// [count, vertex] pairs with the vertex in [0, n) and the count at most the
+// shard's num_sets, besides the ordering, cursor, length and completeness
+// checks of ShardRanking.Merge. A page that fails is a 502 naming its shard.
+func (q *query) pages() core.Pager {
+	var ranking *core.ShardRanking
+	limit := q.c.pageSize
+	targets := q.c.cfg.Targets
+	return func() (core.Page, error) {
+		payloads := make([][]byte, len(targets))
+		for i := range targets {
+			req := server.ShardTopRequest{Limit: limit}
+			if ranking != nil {
+				if a := ranking.After(i); a != nil {
+					req.After = &[2]int64{a.Count, int64(a.Vertex)}
+				}
+			}
+			var err error
+			if payloads[i], err = json.Marshal(req); err != nil {
+				return core.Page{}, err
+			}
+		}
+		resps, err := scatter[server.ShardTopResponse](q, "top", payloads)
+		if err != nil {
+			return core.Page{}, err
+		}
+		n := q.view.vertices
+		if ranking == nil {
+			ranking = core.NewShardRanking(n, len(targets))
+		}
+		pages := make([][]core.RankKey, len(resps))
+		for i, resp := range resps {
+			pages[i] = make([]core.RankKey, len(resp.Entries))
+			for j, e := range resp.Entries {
+				if e[1] < 0 || e[1] >= int64(n) || e[0] < 0 || e[0] > int64(resp.NumSets) {
+					return core.Page{}, &shardError{target: targets[i],
+						err: fmt.Errorf("page entry %d [%d,%d] is not a [count, vertex] pair with vertex in [0, %d) and count in [0, %d]", j, e[0], e[1], n, resp.NumSets)}
+				}
+				pages[i][j] = core.RankKey{Count: e[0], Vertex: graph.VertexID(e[1])}
+			}
+		}
+		p, err := ranking.Merge(limit, pages)
+		var pe *core.PageError
+		if errors.As(err, &pe) {
+			return core.Page{}, &shardError{target: targets[pe.Shard], err: pe}
+		}
+		limit = min(2*limit, n)
+		return p, err
+	}
 }

@@ -96,7 +96,7 @@ func (s setSystem) gains(seeds []graph.VertexID) []int64 {
 
 func mustCELF(t *testing.T, s setSystem, k, batch int) ([]graph.VertexID, int64) {
 	t.Helper()
-	seeds, covered, err := CELF(k, s.initial(), batch, s.marginal)
+	seeds, covered, err := CELF(k, s.initial(), nil, batch, s.marginal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCELFCoversEverythingWhenKLargeEnough(t *testing.T) {
 func TestCELFZeroK(t *testing.T) {
 	s := setSystem{{0, 1, 2}}
 	for _, k := range []int{0, -1} {
-		seeds, covered, err := CELF(k, s.initial(), 1, func(_, _ []graph.VertexID, _ []int64) error {
+		seeds, covered, err := CELF(k, s.initial(), nil, 1, func(_, _ []graph.VertexID, _ []int64) error {
 			t.Fatal("marginal called for k < 1")
 			return nil
 		})
@@ -153,7 +153,7 @@ func TestCELFMatchesEagerGreedy(t *testing.T) {
 		numSets := int(numSetsRaw%10) + 1
 		s := setSystemFromRaw(raw, numSets, int(numElemsRaw%30)+1)
 		k := int(kRaw)%(numSets+2) + 1 // may exceed numSets: the clamp
-		seeds, covered, err := CELF(k, s.initial(), int(batchRaw%4)+1, s.marginal)
+		seeds, covered, err := CELF(k, s.initial(), nil, int(batchRaw%4)+1, s.marginal)
 		return err == nil && slices.Equal(seeds, s.eager(k)) && covered == int64(len(s.covered(seeds)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -164,7 +164,7 @@ func TestCELFMatchesEagerGreedy(t *testing.T) {
 func TestCELFGainsAreNonIncreasing(t *testing.T) {
 	f := func(raw []uint16) bool {
 		s := setSystemFromRaw(raw, 8, 40)
-		seeds, _, err := CELF(8, s.initial(), 1, s.marginal)
+		seeds, _, err := CELF(8, s.initial(), nil, 1, s.marginal)
 		if err != nil {
 			return false
 		}
@@ -198,7 +198,7 @@ func TestCELFPropagatesMarginalError(t *testing.T) {
 	// Two picks force a re-evaluation, whose error must surface unchanged.
 	s := setSystem{{0, 1}, {1}, {2}}
 	boom := errors.New("shard down")
-	seeds, covered, err := CELF(2, s.initial(), 1, func(_, _ []graph.VertexID, _ []int64) error { return boom })
+	seeds, covered, err := CELF(2, s.initial(), nil, 1, func(_, _ []graph.VertexID, _ []int64) error { return boom })
 	if !errors.Is(err, boom) || seeds != nil || covered != 0 {
 		t.Errorf("CELF = (%v, %d, %v), want (nil, 0, %v)", seeds, covered, err, boom)
 	}

@@ -3,22 +3,29 @@ package core
 // The marginal-gain primitive and greedy maximum coverage over it — the RIS
 // reduction's solver and the oracle-greedy reference of Section 5.2 — as one
 // CELF (lazy greedy) loop. The local oracle runs the loop on its own covered
-// state (either kernel); the distributed coordinator (internal/cluster) runs
-// it with a fleet-wide scatter of MarginalCoverage as the primitive, so both
-// select the same sequence by construction.
+// state (either kernel), seeded with every vertex's count; the distributed
+// coordinator (internal/cluster) seeds it from the shards' rankings read page
+// by page (rank.go) and runs it with a fleet-wide scatter of
+// MarginalCoverage as the primitive, so both select the same sequence by
+// construction.
 //
 // Why the lazy loop selects exactly the eager argmax: the heap orders
 // candidates by (gain desc, id asc). A stale entry's gain is an upper bound
 // on its true gain (submodularity: marginal gains only shrink as the seed set
-// grows). So when the heap's top entry is fresh — evaluated against the
-// current seed set — every other candidate's true gain is at most the top's
-// gain, and any candidate whose stale bound ties it sits below the top only
-// if its id is larger. Selecting a fresh top is therefore exactly the
-// (max gain, min id) argmax, without re-evaluating the candidates that stay
-// buried, and for any batch size.
+// grows), and so is a page bound. So when the heap's top entry is fresh —
+// evaluated against the current seed set — every other candidate's true gain
+// is at most the top's gain, and any candidate whose stale bound ties it sits
+// below the top only if its id is larger. The vertices not paged yet are one
+// entry whose gain bounds all of theirs and which sorts before any real entry
+// of equal gain, since one of them may hold a smaller id. Selecting a fresh
+// top is therefore exactly the (max gain, min id) argmax, without
+// re-evaluating the candidates that stay buried, for any batch size and any
+// page size.
 
 import (
 	"container/heap"
+	"math"
+	"slices"
 
 	"imdist/internal/graph"
 )
@@ -30,12 +37,21 @@ import (
 type MarginalFunc func(seeds, candidates []graph.VertexID, gains []int64) error
 
 // celfEntry is one candidate in the lazy-greedy queue: v's marginal gain as
-// of round (computed against the first round selected seeds).
+// of round (computed against the first round selected seeds). A page bound
+// that is not exact has round -1, stale from the start.
 type celfEntry struct {
 	gain  int64
 	v     graph.VertexID
 	round int32
 }
+
+// unpaged is the vertex of the entry that stands for every vertex not paged
+// yet; it ranks before every real vertex of equal gain.
+const unpaged graph.VertexID = -1
+
+// maxBatch caps the doubling re-evaluation batch, so a fleet's candidate
+// list stays far below a shard's request body limit.
+const maxBatch = 1 << 14
 
 // celfHeap orders by gain descending, then vertex id ascending — the eager
 // argmax preference.
@@ -43,10 +59,7 @@ type celfHeap []celfEntry
 
 func (h celfHeap) Len() int { return len(h) }
 func (h celfHeap) Less(i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
-	}
-	return h[i].v < h[j].v
+	return RankKey{h[i].gain, h[i].v}.Before(RankKey{h[j].gain, h[j].v})
 }
 func (h celfHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *celfHeap) Push(x any)   { *h = append(*h, x.(celfEntry)) }
@@ -58,51 +71,84 @@ func (h *celfHeap) Pop() any {
 }
 
 // CELF selects k vertices by greedy maximum coverage with lazy evaluation.
-// initial[v] is vertex v's gain against the empty seed set (its membership
-// count), so len(initial) is the vertex count and k is clamped to it. Each
-// round, while the heap's top is stale, up to batch stale entries are popped
-// and re-evaluated with one marginal call against the seeds selected so far;
-// a fresh top is selected. It returns the seeds in selection order and their
-// coverage count — the sum of the selected gains, which telescopes to the
-// number of RR sets the seed set covers. A marginal error aborts the run and
+// With next nil, initial[v] is vertex v's gain against the empty seed set
+// (its membership count), so len(initial) is the vertex count and k is
+// clamped to it. With next non-nil, initial is unused and the queue starts
+// from pages: a paged vertex enters with its bound, fresh for the first pick
+// when the bound is exact, and the page's Rest enters as one entry for the
+// vertices not paged yet, which reads the next page when it reaches the top;
+// k is clamped to the vertices the pages hold.
+//
+// Each round, while the heap's top is a stale vertex, up to batch stale
+// entries are popped and re-evaluated with one marginal call against the
+// seeds selected so far; the batch doubles (up to maxBatch) while the top
+// stays stale and returns to its start after each pick. A fresh top is
+// selected. It returns the seeds in selection order and their coverage
+// count — the sum of the selected gains, which telescopes to the number of
+// RR sets the seed set covers. A marginal or page error aborts the run and
 // is returned as is.
-func CELF(k int, initial []int64, batch int, marginal MarginalFunc) ([]graph.VertexID, int64, error) {
-	k = min(k, len(initial))
+func CELF(k int, initial []int64, next Pager, batch int, marginal MarginalFunc) ([]graph.VertexID, int64, error) {
+	if next == nil {
+		k = min(k, len(initial))
+	}
 	if k < 1 {
 		return nil, 0, nil
 	}
-	batch = max(batch, 1)
-	h := make(celfHeap, len(initial))
-	for v, gain := range initial {
-		h[v] = celfEntry{gain: gain, v: graph.VertexID(v)}
+	h := celfHeap{{gain: math.MaxInt64, v: unpaged}}
+	if next == nil {
+		h = make(celfHeap, len(initial))
+		for v, gain := range initial {
+			h[v] = celfEntry{gain: gain, v: graph.VertexID(v)}
+		}
+		heap.Init(&h)
 	}
-	heap.Init(&h)
+	start := min(max(batch, 1), maxBatch)
+	batch = start
 
 	seeds := make([]graph.VertexID, 0, k)
 	var covered int64
-	stale := make([]celfEntry, 0, batch)
-	candidates := make([]graph.VertexID, 0, batch)
-	gains := make([]int64, batch)
-	for len(seeds) < k {
+	var candidates []graph.VertexID
+	var gains []int64
+	for len(seeds) < k && len(h) > 0 {
 		round := int32(len(seeds))
+		if h[0].v == unpaged {
+			heap.Pop(&h)
+			p, err := next()
+			if err != nil {
+				return nil, 0, err
+			}
+			for _, e := range p.Entries {
+				r := int32(-1)
+				if e.Exact {
+					r = 0
+				}
+				h = append(h, celfEntry{gain: e.Bound, v: e.Vertex, round: r})
+			}
+			if !p.Done {
+				h = append(h, celfEntry{gain: p.Rest, v: unpaged})
+			}
+			heap.Init(&h)
+			continue
+		}
 		if h[0].round == round {
 			e := heap.Pop(&h).(celfEntry)
 			covered += e.gain
 			seeds = append(seeds, e.v)
+			batch = start
 			continue
 		}
-		stale, candidates = stale[:0], candidates[:0]
-		for len(stale) < batch && len(h) > 0 && h[0].round != round {
-			e := heap.Pop(&h).(celfEntry)
-			stale = append(stale, e)
-			candidates = append(candidates, e.v)
+		candidates = candidates[:0]
+		for len(candidates) < batch && len(h) > 0 && h[0].round != round && h[0].v != unpaged {
+			candidates = append(candidates, heap.Pop(&h).(celfEntry).v)
 		}
-		if err := marginal(seeds, candidates, gains[:len(candidates)]); err != nil {
+		gains = slices.Grow(gains[:0], len(candidates))[:len(candidates)]
+		if err := marginal(seeds, candidates, gains); err != nil {
 			return nil, 0, err
 		}
-		for i, e := range stale {
-			heap.Push(&h, celfEntry{gain: gains[i], v: e.v, round: round})
+		for i, v := range candidates {
+			heap.Push(&h, celfEntry{gain: gains[i], v: v, round: round})
 		}
+		batch = min(2*batch, maxBatch)
 	}
 	return seeds, covered, nil
 }
@@ -191,8 +237,9 @@ func (c *coverState) marginal(seeds, candidates []graph.VertexID, gains []int64)
 // MarginalCoverage returns, for every candidate vertex c, the exact number of
 // the oracle's RR sets that contain c and are not covered by seeds — the
 // integer marginal coverage gain of adding c to the seed set. A nil
-// candidates slice means every vertex in [0, n), in ascending order; with
-// empty seeds the result is each candidate's raw membership count.
+// candidates slice means every vertex in [0, n), in ascending order. With
+// empty seeds the result is each candidate's membership count, read from the
+// member index offsets in O(1) per candidate under either kernel.
 //
 // This is the greedy primitive of the distributed serving tier: per-shard
 // marginal counts are integers, so a coordinator can sum them across a
@@ -206,6 +253,16 @@ func (o *Oracle) MarginalCoverage(seeds, candidates []graph.VertexID) ([]int64, 
 		if err := o.ValidateSeeds(candidates); err != nil {
 			return nil, err
 		}
+	}
+	if len(seeds) == 0 {
+		if candidates == nil {
+			return o.VertexCoverage(), nil
+		}
+		gains := make([]int64, len(candidates))
+		for i, v := range candidates {
+			gains[i] = o.count(v)
+		}
+		return gains, nil
 	}
 	c := o.getCover()
 	for _, v := range seeds {

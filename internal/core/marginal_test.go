@@ -128,21 +128,36 @@ func TestMarginalCoverageMatchesBruteForce(t *testing.T) {
 	})
 }
 
+// TestMarginalCoverageEmptySeedsIsMembershipCount checks the empty-seed
+// path, which reads counts off the member index, for every vertex and for an
+// explicit candidate list in its own order, under both kernels.
 func TestMarginalCoverageEmptySeedsIsMembershipCount(t *testing.T) {
 	o := mustOracle(t, twoStarGraph(t), 500, 6)
-	gains, err := o.MarginalCoverage(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < o.NumVertices(); v++ {
-		want, err := o.Coverage([]graph.VertexID{graph.VertexID(v)})
+	bothKernels(t, o, func(t *testing.T, o *Oracle) {
+		gains, err := o.MarginalCoverage(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gains[v] != want {
-			t.Errorf("gain[%d] = %d, want membership count %d", v, gains[v], want)
+		for v := 0; v < o.NumVertices(); v++ {
+			want, err := o.Coverage([]graph.VertexID{graph.VertexID(v)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gains[v] != want {
+				t.Errorf("gain[%d] = %d, want membership count %d", v, gains[v], want)
+			}
 		}
-	}
+		cands := []graph.VertexID{9, 0, 3, 0}
+		sub, err := o.MarginalCoverage([]graph.VertexID{}, cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range cands {
+			if sub[i] != gains[v] {
+				t.Errorf("candidate %d: gain %d, want membership count %d", v, sub[i], gains[v])
+			}
+		}
+	})
 }
 
 func TestMarginalCoverageValidation(t *testing.T) {
@@ -256,7 +271,7 @@ func TestMarginalGreedyReproducesGreedySeeds(t *testing.T) {
 						seeds, covered := o.GreedyCoverage(k)
 						check("GreedyCoverage", seeds, covered)
 						for _, batch := range []int{1, 128} {
-							seeds, covered, err := CELF(k, initial, batch, marginalCoverageFunc(o))
+							seeds, covered, err := CELF(k, initial, nil, batch, marginalCoverageFunc(o))
 							if err != nil {
 								t.Fatal(err)
 							}

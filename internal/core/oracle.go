@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"imdist/internal/diffusion"
@@ -31,8 +30,10 @@ import (
 // of an estimate is n·F(S) ± 1.29·n/√R.
 //
 // The query methods (Influence, MarginalCoverage, GreedySeeds,
-// TopSingleVertices) are safe for concurrent use: all per-call scratch state
-// lives in pooled buffers, never on the oracle itself.
+// TopSingleVertices, RankPage) are safe for concurrent use: all per-call
+// scratch state lives in pooled buffers, never on the oracle itself, and the
+// derived indexes (the packed matrix, the ranking) are built once on first
+// use.
 type Oracle struct {
 	n       int
 	numSets int
@@ -66,6 +67,10 @@ type Oracle struct {
 	// kernels holds the coverage-kernel selection (epoch vs bitpack) and the
 	// lazily built packed index; see kernel.go.
 	kernels kernelState
+
+	// rank is every vertex in RankKey order, sorted on first use (rank.go).
+	rank     []graph.VertexID
+	rankOnce sync.Once
 }
 
 // ErrEmptyGraph reports an oracle request on an empty graph.
@@ -504,8 +509,7 @@ func (o *Oracle) coverageOf(seeds []graph.VertexID) int64 {
 	if len(seeds) == 1 {
 		// Fast path used heavily by Table 4 and the per-vertex rankings; both
 		// kernels count a single vertex's coverage as its membership length.
-		v := seeds[0]
-		return int64(o.offsets[v+1] - o.offsets[v])
+		return o.count(seeds[0])
 	}
 	if o.useBitpack() {
 		return o.bitpackCoverage(seeds)
@@ -543,14 +547,15 @@ func (o *Oracle) GreedySeeds(k int) []graph.VertexID {
 // GreedyCoverage is GreedySeeds together with the exact coverage count of
 // the returned seed set (equal to Coverage(seeds)), which the loop gets for
 // free as the sum of the selected gains. Every vertex starts at its
-// membership count, and only stale heap tops are re-evaluated, one at a
-// time, against a covered state that grows by one seed per pick.
+// membership count, and only stale heap tops are re-evaluated — one at a
+// time at first, doubling while the top stays stale — against a covered
+// state that grows by one seed per pick.
 func (o *Oracle) GreedyCoverage(k int) ([]graph.VertexID, int64) {
 	if k < 1 {
 		return nil, 0
 	}
 	c := o.getCover()
-	seeds, covered, _ := CELF(k, o.VertexCoverage(), 1, c.marginal) // the local primitive never fails
+	seeds, covered, _ := CELF(k, o.VertexCoverage(), nil, 1, c.marginal) // the local primitive never fails
 	o.putCover(c)
 	return seeds, covered
 }
@@ -560,7 +565,7 @@ func (o *Oracle) GreedyCoverage(k int) ([]graph.VertexID, int64) {
 func (o *Oracle) VertexCoverage() []int64 {
 	counts := make([]int64, o.n)
 	for v := range counts {
-		counts[v] = int64(o.offsets[v+1] - o.offsets[v])
+		counts[v] = o.count(graph.VertexID(v))
 	}
 	return counts
 }
@@ -569,38 +574,14 @@ func (o *Oracle) VertexCoverage() []int64 {
 // influence in non-increasing order, together with their influences. This is
 // the quantity Table 4 reports. topK <= 0 returns all vertices.
 func (o *Oracle) TopSingleVertices(topK int) ([]graph.VertexID, []float64) {
-	vs, counts := TopVertices(o.VertexCoverage(), topK)
-	infs := make([]float64, len(vs))
-	for i, c := range counts {
-		infs[i] = o.CoverageInfluence(c)
+	if topK <= 0 {
+		topK = o.n
+	}
+	page := o.RankPage(nil, topK)
+	vs := make([]graph.VertexID, len(page))
+	infs := make([]float64, len(page))
+	for i, e := range page {
+		vs[i], infs[i] = e.Vertex, o.CoverageInfluence(e.Count)
 	}
 	return vs, infs
-}
-
-// TopVertices ranks vertices by exact coverage count — counts[v] non-
-// increasing, ties broken by ascending vertex id — and returns the first k
-// (all of them when k <= 0 or k > len(counts)) with their counts. Influence
-// is a strictly increasing function of the count at a fixed Scale, so this
-// is also the ranking by influence, for one sketch and for a shard fleet's
-// summed counts alike.
-func TopVertices(counts []int64, k int) ([]graph.VertexID, []int64) {
-	vs := make([]graph.VertexID, len(counts))
-	for v := range vs {
-		vs[v] = graph.VertexID(v)
-	}
-	sort.Slice(vs, func(i, j int) bool {
-		a, b := vs[i], vs[j]
-		if counts[a] != counts[b] {
-			return counts[a] > counts[b]
-		}
-		return a < b
-	})
-	if k > 0 && k < len(vs) {
-		vs = slices.Clone(vs[:k])
-	}
-	top := make([]int64, len(vs))
-	for i, v := range vs {
-		top[i] = counts[v]
-	}
-	return vs, top
 }

@@ -129,8 +129,12 @@ type topResult struct {
 
 func (e *sketchEntry) Top(_ context.Context, k int) ([]graph.VertexID, []int64, core.Scale, error) {
 	t := e.memo("t:"+strconv.Itoa(k), func() any {
-		vs, counts := core.TopVertices(e.oracle.VertexCoverage(), k)
-		return topResult{vs, counts}
+		page := e.oracle.RankPage(nil, k)
+		t := topResult{make([]graph.VertexID, len(page)), make([]int64, len(page))}
+		for i, r := range page {
+			t.vertices[i], t.counts[i] = r.Vertex, r.Count
+		}
+		return t
 	}).(topResult)
 	return t.vertices, t.counts, e.oracle.Scale(), nil
 }

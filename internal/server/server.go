@@ -177,8 +177,10 @@ func New(cfg Config) (*Server, error) {
 	// coordinator (internal/cluster).
 	s.HandleFunc("POST /v1/shard/coverage", s.handleShardCoverage)
 	s.HandleFunc("POST /v1/shard/marginal", s.handleShardMarginal)
+	s.HandleFunc("POST /v1/shard/top", s.handleShardTop)
 	s.HandleFunc("POST /v1/sketches/{sketch}/shard/coverage", s.handleShardCoverage)
 	s.HandleFunc("POST /v1/sketches/{sketch}/shard/marginal", s.handleShardMarginal)
+	s.HandleFunc("POST /v1/sketches/{sketch}/shard/top", s.handleShardTop)
 	// Registry introspection and administration.
 	s.HandleFunc("GET /v1/sketches", s.handleListSketches)
 	s.HandleFunc("POST /v1/admin/sketches", s.handleAdminLoad)

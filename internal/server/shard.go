@@ -17,8 +17,9 @@ import (
 //
 //	POST /v1/shard/coverage  {"seed_sets":[[0,5],[3]]} -> {"counts":[..],"shard_index":..,...}
 //	POST /v1/shard/marginal  {"seeds":[..],"candidates":[..]} -> {"gains":[..],...}
+//	POST /v1/shard/top       {"limit":64,"after":[count,vertex]} -> {"entries":[[count,vertex],..],...}
 //
-// Both also exist as named routes (/v1/sketches/{name}/shard/...). Every
+// All three also exist as named routes (/v1/sketches/{name}/shard/...). Every
 // response carries the sketch's shard identity so the coordinator can verify,
 // per query, that the fleet is assembled from the shards it thinks it is; an
 // unsharded sketch reports itself as shard 0 of a 1-shard fleet, making a
@@ -116,9 +117,9 @@ func (s *Server) handleShardCoverage(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// validateShardSeeds validates shard-query seeds as the public influence
-// queries are validated, except that the empty seed set is accepted
-// (coverage 0, and the greedy protocol's round-0 marginal call).
+// validateShardSeeds validates a shard coverage query's seed set as the
+// public influence queries are validated, except that the empty seed set is
+// accepted (coverage 0).
 func (s *Server) validateShardSeeds(oracle *core.Oracle, seeds []int) string {
 	if len(seeds) == 0 {
 		return ""
@@ -130,8 +131,7 @@ func (s *Server) validateShardSeeds(oracle *core.Oracle, seeds []int) string {
 }
 
 // ShardMarginalRequest asks for the marginal coverage gain of every candidate
-// on top of seeds. A null/absent candidates list means every vertex, in
-// ascending id order; an empty list is an empty answer.
+// on top of seeds. Candidates is required; an empty list is an empty answer.
 type ShardMarginalRequest struct {
 	Seeds      []int `json:"seeds"`
 	Candidates []int `json:"candidates"`
@@ -143,6 +143,9 @@ type ShardMarginalResponse struct {
 	Gains []int64 `json:"gains"`
 }
 
+// handleShardMarginal serves the greedy primitive. Its bounds are the ones
+// that govern greedy, not the public per-query seed limit: a coordinator
+// asks with fewer than k <= MaxK seeds and at most one candidate per vertex.
 func (s *Server) handleShardMarginal(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.entryFor(w, r)
 	if !ok {
@@ -153,25 +156,30 @@ func (s *Server) handleShardMarginal(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if msg := s.validateShardSeeds(e.oracle, req.Seeds); msg != "" {
+	n := e.oracle.NumVertices()
+	if len(req.Seeds) > s.limits.MaxK {
+		writeError(w, http.StatusBadRequest, "seeds: too many seeds: %d > %d", len(req.Seeds), s.limits.MaxK)
+		return
+	}
+	if msg := rangeError(req.Seeds, n); msg != "" {
 		writeError(w, http.StatusBadRequest, "seeds: %s", msg)
 		return
 	}
-	if msg := s.validateShardSeeds(e.oracle, req.Candidates); msg != "" {
+	if req.Candidates == nil {
+		writeError(w, http.StatusBadRequest, "candidates must be a list of vertices")
+		return
+	}
+	if len(req.Candidates) > n {
+		writeError(w, http.StatusBadRequest, "candidates: too many candidates: %d > %d vertices", len(req.Candidates), n)
+		return
+	}
+	if msg := rangeError(req.Candidates, n); msg != "" {
 		writeError(w, http.StatusBadRequest, "candidates: %s", msg)
 		return
 	}
-	seeds := CanonicalSeeds(req.Seeds)
-	// Candidates keep their request order (the coordinator matches gains back
-	// by position) and their nil-ness: null means "all vertices".
-	var candidates []graph.VertexID
-	if req.Candidates != nil {
-		candidates = make([]graph.VertexID, len(req.Candidates))
-		for i, v := range req.Candidates {
-			candidates[i] = graph.VertexID(v)
-		}
-	}
-	gains, err := e.oracle.MarginalCoverage(seeds, candidates)
+	// Candidates keep their request order: the coordinator matches gains
+	// back by position.
+	gains, err := e.oracle.MarginalCoverage(CanonicalSeeds(req.Seeds), toVertexIDs(req.Candidates))
 	if err != nil {
 		// Unreachable after the range checks above, but the oracle's own
 		// validation is the final authority.
@@ -183,4 +191,53 @@ func (s *Server) handleShardMarginal(w http.ResponseWriter, r *http.Request) {
 		ShardIdentity: shardIdentity(e.oracle),
 		Gains:         gains,
 	})
+}
+
+// ShardTopRequest asks for the next page of the shard's ranking by
+// membership count (count desc, id asc, the order of core.TopVertices):
+// up to Limit vertices strictly after the position After, a [count, vertex]
+// pair, or from the top when After is absent. A limit above the vertex count
+// asks for the rest of the ranking.
+type ShardTopRequest struct {
+	Limit int       `json:"limit"`
+	After *[2]int64 `json:"after,omitempty"`
+}
+
+// ShardTopResponse carries the page as [count, vertex] pairs in ranking
+// order. A page shorter than the limit ends the ranking.
+type ShardTopResponse struct {
+	ShardIdentity
+	Entries [][2]int64 `json:"entries"`
+}
+
+func (s *Server) handleShardTop(w http.ResponseWriter, r *http.Request) {
+	e, ok := s.entryFor(w, r)
+	if !ok {
+		return
+	}
+	defer e.release()
+	var req ShardTopRequest
+	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	n := e.oracle.NumVertices()
+	if req.Limit < 1 {
+		writeError(w, http.StatusBadRequest, "limit must be positive, got %d", req.Limit)
+		return
+	}
+	var after *core.RankKey
+	if a := req.After; a != nil {
+		if a[0] < 0 || a[1] < 0 || a[1] >= int64(n) {
+			writeError(w, http.StatusBadRequest, "after [%d,%d] is not a [count, vertex] pair with vertex in [0, %d)", a[0], a[1], n)
+			return
+		}
+		after = &core.RankKey{Count: a[0], Vertex: graph.VertexID(a[1])}
+	}
+	page := e.oracle.RankPage(after, min(req.Limit, n))
+	resp := ShardTopResponse{ShardIdentity: shardIdentity(e.oracle), Entries: make([][2]int64, len(page))}
+	for i, k := range page {
+		resp.Entries[i] = [2]int64{k.Count, int64(k.Vertex)}
+	}
+	s.extendWriteDeadline(w)
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"imdist/internal/core"
@@ -70,33 +72,97 @@ func TestShardMarginalEndpoint(t *testing.T) {
 		t.Errorf("gains = %v, want %v", resp.Gains, wantGains)
 	}
 
-	// Null candidates = all vertices; empty seeds = membership counts.
-	status, raw = postJSON(t, ts.URL+"/v1/shard/marginal", `{"seeds":[]}`)
+	// Empty seeds = membership counts.
+	status, raw = postJSON(t, ts.URL+"/v1/shard/marginal", `{"seeds":[],"candidates":[33,0,5]}`)
 	if status != http.StatusOK {
-		t.Fatalf("all-vertices status %d: %s", status, raw)
+		t.Fatalf("empty seeds status %d: %s", status, raw)
 	}
 	if err := json.Unmarshal(raw, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Gains) != oracle.NumVertices() {
-		t.Fatalf("all-vertices gains = %d entries, want %d", len(resp.Gains), oracle.NumVertices())
-	}
-	all, err := oracle.MarginalCoverage(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range all {
-		if resp.Gains[v] != all[v] {
-			t.Fatalf("gain[%d] = %d, want %d", v, resp.Gains[v], all[v])
+	for i, v := range []graph.VertexID{33, 0, 5} {
+		want, err := oracle.Coverage([]graph.VertexID{v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Gains[i] != want {
+			t.Errorf("empty seeds gain[%d] = %d, want membership count %d", v, resp.Gains[i], want)
 		}
 	}
 
-	// Out-of-range seeds and candidates are a 400, not a partial answer.
-	if status, _ := postJSON(t, ts.URL+"/v1/shard/marginal", `{"seeds":[99]}`); status != http.StatusBadRequest {
-		t.Errorf("bad seed status = %d", status)
+	for _, bad := range []string{
+		`{"seeds":[99],"candidates":[0]}`,              // out-of-range seed
+		`{"seeds":[0],"candidates":[99]}`,              // out-of-range candidate
+		`{"seeds":[]}`,                                 // candidates are required
+		`{"seeds":[],"candidates":[` + karate35 + `]}`, // more candidates than vertices
+	} {
+		if status, raw := postJSON(t, ts.URL+"/v1/shard/marginal", bad); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", bad, status, raw)
+		}
 	}
-	if status, _ := postJSON(t, ts.URL+"/v1/shard/marginal", `{"seeds":[0],"candidates":[99]}`); status != http.StatusBadRequest {
-		t.Errorf("bad candidate status = %d", status)
+}
+
+// karate35 is a JSON list of 35 valid Karate vertex ids: one more candidate
+// than the graph has vertices.
+var karate35 = strings.TrimSuffix(strings.Repeat("0,", 35), ",")
+
+// TestShardMarginalGreedyLimits pins the greedy primitive to the limits that
+// govern greedy: seeds up to MaxK and candidates up to the vertex count, not
+// the public per-query seed limit. A coordinator over shards run with a
+// small MaxSeeds still serves /v1/seeds.
+func TestShardMarginalGreedyLimits(t *testing.T) {
+	oracle := loadedKarateOracle(t)
+	ts := newTestServer(t, Config{Oracle: oracle, Limits: Limits{MaxSeeds: 2, MaxK: 4}})
+	if status, raw := postJSON(t, ts.URL+"/v1/shard/marginal", `{"seeds":[0,1,2,3],"candidates":[`+strings.TrimSuffix(strings.Repeat("5,", 34), ",")+`]}`); status != http.StatusOK {
+		t.Errorf("4 seeds, 34 candidates: status %d (%s), want 200", status, raw)
+	}
+	status, raw := postJSON(t, ts.URL+"/v1/shard/marginal", `{"seeds":[0,1,2,3,4],"candidates":[5]}`)
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), "too many seeds: 5") {
+		t.Errorf("5 seeds over MaxK 4: status %d (%s), want 400 naming the bound", status, raw)
+	}
+}
+
+// TestShardTopEndpoint pages through a shard's ranking at several page sizes
+// and checks the concatenation is core.TopVertices' full ranking.
+func TestShardTopEndpoint(t *testing.T) {
+	oracle := loadedKarateOracle(t)
+	ts := newTestServer(t, Config{Oracle: oracle})
+	wantVs, wantCounts := core.TopVertices(oracle.VertexCoverage(), 0)
+	for _, limit := range []int{1, 5, 34, 100} {
+		var got [][2]int64
+		after := ""
+		for {
+			status, raw := postJSON(t, ts.URL+"/v1/shard/top", fmt.Sprintf(`{"limit":%d%s}`, limit, after))
+			if status != http.StatusOK {
+				t.Fatalf("limit %d: status %d: %s", limit, status, raw)
+			}
+			var resp ShardTopResponse
+			if err := json.Unmarshal(raw, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.ShardCount != 1 || resp.NumSets != oracle.NumSets() {
+				t.Fatalf("identity = %+v", resp.ShardIdentity)
+			}
+			got = append(got, resp.Entries...)
+			if len(resp.Entries) < limit {
+				break
+			}
+			last := resp.Entries[len(resp.Entries)-1]
+			after = fmt.Sprintf(`,"after":[%d,%d]`, last[0], last[1])
+		}
+		if len(got) != len(wantVs) {
+			t.Fatalf("limit %d: paged %d entries, want %d", limit, len(got), len(wantVs))
+		}
+		for i, e := range got {
+			if e != [2]int64{wantCounts[i], int64(wantVs[i])} {
+				t.Fatalf("limit %d: entry %d = %v, want [%d,%d]", limit, i, e, wantCounts[i], wantVs[i])
+			}
+		}
+	}
+	for _, bad := range []string{`{"limit":0}`, `{"limit":5,"after":[3,34]}`, `{"limit":5,"after":[-1,0]}`} {
+		if status, raw := postJSON(t, ts.URL+"/v1/shard/top", bad); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", bad, status, raw)
+		}
 	}
 }
 
@@ -109,6 +175,9 @@ func TestShardEndpointsNamedRoutes(t *testing.T) {
 	}
 	if status, _ := postJSON(t, ts.URL+"/v1/sketches/nope/shard/marginal", `{"seeds":[0]}`); status != http.StatusNotFound {
 		t.Errorf("unknown sketch status = %d", status)
+	}
+	if status, raw := postJSON(t, ts.URL+"/v1/sketches/k/shard/top", `{"limit":3}`); status != http.StatusOK {
+		t.Errorf("named top route status %d: %s", status, raw)
 	}
 }
 
