@@ -102,14 +102,17 @@ func (o *Oracle) batchCoverage(seedSets [][]graph.VertexID, workers, shardSize i
 		seeds := seedSets[q]
 		sc := scratches[worker]
 		if sc == nil {
-			sc = &batchScratch{}
+			sc, _ = o.batchPool.Get().(*batchScratch)
+			if sc == nil {
+				sc = &batchScratch{}
+			}
 			scratches[worker] = sc
 		}
 		// Single-seed cells always take the membership binary search in
 		// shardCoverage: it reads O(log) entries where the popcount would
 		// scan the whole row.
 		if packed != nil && len(seeds) > 1 {
-			if sc.acc == nil {
+			if len(sc.acc) < packed.maxBlockWords() {
 				sc.acc = make([]uint64, packed.maxBlockWords())
 			}
 			counts[item] = packed.blockCoverage(seeds, shard, sc.acc)
@@ -120,11 +123,16 @@ func (o *Oracle) batchCoverage(seedSets [][]graph.VertexID, workers, shardSize i
 		if hi > o.numSets {
 			hi = o.numSets
 		}
-		if sc.marks == nil {
-			sc.marks = make([]int32, shardSize)
+		if width := min(shardSize, o.numSets); len(sc.marks) < width {
+			sc.marks = make([]int32, width)
 		}
 		counts[item] = o.shardCoverage(seeds, lo, hi, sc)
 	})
+	for _, sc := range scratches {
+		if sc != nil {
+			o.batchPool.Put(sc)
+		}
+	}
 	for q := range seedSets {
 		if errs[q] != nil {
 			continue
@@ -139,10 +147,12 @@ func (o *Oracle) batchCoverage(seedSets [][]graph.VertexID, workers, shardSize i
 }
 
 // batchScratch is the per-worker scratch of the batch engine, reused across
-// every (shard, query) cell the worker processes: an epoch-stamped mark array
-// of one shard's width for the epoch kernel, and a covered-word accumulator
-// of one block's width for the bitpack kernel. Each side allocates lazily on
-// the first cell that needs it.
+// every (shard, query) cell the worker processes and, through the oracle's
+// batchPool, across calls: an epoch-stamped mark array of one shard's width
+// (or R, if smaller) for the epoch kernel, and a covered-word accumulator of
+// one block's width for the bitpack kernel. Each side allocates lazily on the
+// first cell that needs it. The epoch carries over between calls, so stale
+// stamps never match, and wrapping it clears the marks.
 type batchScratch struct {
 	marks []int32
 	epoch int32

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"imdist/internal/diffusion"
@@ -153,6 +154,42 @@ func TestBatchInfluenceConcurrentCallers(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestBatchCoverageWarmAllocs pins the batch engine's pooled scratch: once
+// warm, a 64-query BatchCoverage over two shards allocates its result slices
+// but no per-worker mark array (256 KiB at the default shard width) or
+// accumulator (8 KiB), on either kernel.
+func TestBatchCoverageWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	o := batchTestOracle(t, 1<<17)
+	src := rng.NewXoshiro(6)
+	queries := make([][]graph.VertexID, 64)
+	for i := range queries {
+		for range 2 + src.Intn(7) {
+			queries[i] = append(queries[i], graph.VertexID(src.Intn(o.NumVertices())))
+		}
+	}
+	for _, kernel := range []Kernel{KernelEpoch, KernelBitpack} {
+		if err := o.SetKernel(kernel); err != nil {
+			t.Fatal(err)
+		}
+		for range 3 {
+			o.BatchCoverage(queries, 2)
+		}
+		const calls = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			o.BatchCoverage(queries, 2)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 64<<10 {
+			t.Errorf("kernel %s: a warm 64-query BatchCoverage allocates %d bytes, want under 64 KiB", kernel, per)
 		}
 	}
 }

@@ -188,14 +188,15 @@ func (b *SketchBuilder) AppendBatch(m int) error {
 
 // Oracle finalizes the current sketch into a queryable Oracle carrying the
 // builder's model and seed. The member index is built by streaming over the
-// store, so even a disk-backed build never materializes every set on the
-// heap. The oracle snapshots the current prefix: the builder can keep
+// store on the builder's workers, so even a disk-backed build never
+// materializes every set on the heap, and the index is the same at every
+// worker count. The oracle snapshots the current prefix: the builder can keep
 // appending afterwards without disturbing it, and a later Oracle call returns
 // a fresh, larger snapshot. Only the oracle's RRSet reads through the
 // store, which must stay open for as long as RRSet is called.
 func (b *SketchBuilder) Oracle() (*Oracle, error) {
 	if b.oracle == nil || b.oracleAt != b.store.NumSets() {
-		o, err := NewOracleFromStore(b.ig.NumVertices(), b.model, b.seed, b.store)
+		o, err := newOracleFromStore(b.ig.NumVertices(), b.model, b.seed, b.store, b.workers)
 		if err != nil {
 			return nil, err
 		}

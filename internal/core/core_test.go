@@ -159,24 +159,27 @@ func TestOracleFromRRSets(t *testing.T) {
 	}
 }
 
+// brokenMemberIndexes are CSR indexes over 3 vertices and 2 RR sets that
+// the member-index check must reject.
+var brokenMemberIndexes = []struct {
+	name    string
+	offsets []uint64
+	entries []int32
+}{
+	{"short offsets", []uint64{0, 1}, []int32{0}},
+	{"nonzero start", []uint64{1, 1, 1}, []int32{0}},
+	{"end past entries", []uint64{0, 1, 3}, []int32{0, 1}},
+	{"decreasing", []uint64{0, 2, 1, 2}, []int32{0, 1}},
+	{"repeated id", []uint64{0, 2, 2, 2}, []int32{1, 1}},
+	{"descending ids", []uint64{0, 2, 2, 2}, []int32{1, 0}},
+	{"negative id", []uint64{0, 1, 1, 1}, []int32{-1}},
+	{"id past R", []uint64{0, 1, 1, 1}, []int32{2}},
+}
+
 // TestOracleFromMemberIndexValidates feeds NewOracleFromMemberIndex broken
 // CSR indexes; each must be rejected rather than answer queries from it.
 func TestOracleFromMemberIndexValidates(t *testing.T) {
-	cases := []struct {
-		name    string
-		offsets []uint64
-		entries []int32
-	}{
-		{"short offsets", []uint64{0, 1}, []int32{0}},
-		{"nonzero start", []uint64{1, 1, 1}, []int32{0}},
-		{"end past entries", []uint64{0, 1, 3}, []int32{0, 1}},
-		{"decreasing", []uint64{0, 2, 1, 2}, []int32{0, 1}},
-		{"repeated id", []uint64{0, 2, 2, 2}, []int32{1, 1}},
-		{"descending ids", []uint64{0, 2, 2, 2}, []int32{1, 0}},
-		{"negative id", []uint64{0, 1, 1, 1}, []int32{-1}},
-		{"id past R", []uint64{0, 1, 1, 1}, []int32{2}},
-	}
-	for _, c := range cases {
+	for _, c := range brokenMemberIndexes {
 		if _, err := NewOracleFromMemberIndex(3, diffusion.IC, 0, 2, c.offsets, c.entries); err == nil {
 			t.Errorf("%s: index accepted", c.name)
 		}

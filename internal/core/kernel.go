@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"imdist/internal/graph"
+	"imdist/internal/parallel"
 )
 
 // Kernel names a coverage-counting implementation behind the oracle's query
@@ -94,9 +95,11 @@ func PackedIndexBytes(n, numSets int) int64 {
 }
 
 // newBitMatrix packs a CSR member index (see Oracle.MemberIndex), already
-// validated and ascending per vertex, in a single pass per vertex with no
-// store reads — a spill-backed oracle pays no disk traffic here.
-func newBitMatrix(n, numSets, shardSize int, offsets []uint64, entries []int32) *bitMatrix {
+// validated and ascending per vertex, on workers goroutines (Resolve
+// semantics) with no store reads — a spill-backed oracle pays no disk traffic
+// here. Each worker packs the rows of its own entry-balanced vertex chunks,
+// so the words are the same at every worker count.
+func newBitMatrix(n, numSets, shardSize int, offsets []uint64, entries []int32, workers int) *bitMatrix {
 	numBlocks := (numSets + shardSize - 1) / shardSize
 	m := &bitMatrix{
 		n:          n,
@@ -111,14 +114,32 @@ func newBitMatrix(n, numSets, shardSize int, offsets []uint64, entries []int32) 
 		m.blockStart[b+1] = m.blockStart[b] + n*m.blockWords[b]
 	}
 	m.words = make([]uint64, m.blockStart[numBlocks])
-	for v := 0; v < n; v++ {
-		for _, idx := range entries[offsets[v]:offsets[v+1]] {
-			b := int(idx) / shardSize
-			off := int(idx) % shardSize
-			m.words[m.blockStart[b]+v*m.blockWords[b]+off/64] |= 1 << (off % 64)
+	w, bounds := vertexChunks(offsets, workers)
+	parallel.For(w, len(bounds)-1, func(_, c int) {
+		for v := bounds[c]; v < bounds[c+1]; v++ {
+			m.packRow(v, entries[offsets[v]:offsets[v+1]])
 		}
-	}
+	})
 	return m
+}
+
+// packRow sets vertex v's bits from its ascending list of set ids. A block
+// cursor walks along with the list instead of dividing every id by the
+// shard size: ids below base+shardSize fall in block b at offset id−base.
+func (m *bitMatrix) packRow(v int, list []int32) {
+	shardSize := m.shardSize
+	b, base := 0, 0
+	row := m.row(v, 0)
+	for _, id := range list {
+		off := int(id) - base
+		for off >= shardSize {
+			b++
+			base += shardSize
+			off -= shardSize
+			row = m.row(v, b)
+		}
+		row[off>>6] |= 1 << (off & 63)
+	}
 }
 
 // numBlocks returns the number of shard-aligned blocks.
@@ -279,10 +300,11 @@ func decideAutoKernel(n, numSets int, payloadBytes int64) Kernel {
 	return KernelEpoch
 }
 
-// packedMatrix returns the packed index, building it on first use.
+// packedMatrix returns the packed index, building it on first use on all
+// CPUs.
 func (o *Oracle) packedMatrix() *bitMatrix {
 	o.kernels.packOnce.Do(func() {
-		o.kernels.packed = newBitMatrix(o.n, o.numSets, DefaultBatchShardSize, o.offsets, o.entries)
+		o.kernels.packed = newBitMatrix(o.n, o.numSets, DefaultBatchShardSize, o.offsets, o.entries, -1)
 	})
 	return o.kernels.packed
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 
 	"imdist/internal/diffusion"
@@ -60,9 +61,11 @@ type Oracle struct {
 	shard ShardLineage
 
 	// influencePool holds *influenceScratch, coverPool holds *coverState
-	// (MarginalCoverage and GreedySeeds).
+	// (MarginalCoverage and GreedySeeds), batchPool holds *batchScratch
+	// (BatchCoverage).
 	influencePool sync.Pool
 	coverPool     sync.Pool
+	batchPool     sync.Pool
 
 	// kernels holds the coverage-kernel selection (epoch vs bitpack) and the
 	// lazily built packed index; see kernel.go.
@@ -182,7 +185,7 @@ func NewOracleParallel(ig *graph.InfluenceGraph, model diffusion.Model, numSets,
 		s := split.Stream(uint64(i))
 		rrSets[i] = samplers[worker].Sample(s, s, nil)
 	})
-	return NewOracleFromStore(ig.NumVertices(), model, 0, NewMemStore(rrSets))
+	return newOracleFromStore(ig.NumVertices(), model, 0, NewMemStore(rrSets), workers)
 }
 
 // NewOracleParallelSeeded is NewOracleParallel driven by an explicit master
@@ -201,30 +204,31 @@ func NewOracleParallelSeeded(ig *graph.InfluenceGraph, model diffusion.Model, nu
 // (the v1 deserialization path of internal/sketchio). It validates every
 // vertex id against [0, n), and rejects a set that lists a vertex twice, so
 // that a corrupted or hostile sketch cannot induce out-of-bounds indexing or
-// miscounted coverage; it takes ownership of rrSets.
+// miscounted coverage; it takes ownership of rrSets. Like every load path it
+// builds and checks the member index on all CPUs.
 func NewOracleFromRRSets(n int, model diffusion.Model, seed uint64, rrSets [][]graph.VertexID) (*Oracle, error) {
-	return NewOracleFromStore(n, model, seed, NewMemStore(rrSets))
+	return newOracleFromStore(n, model, seed, NewMemStore(rrSets), -1)
 }
 
-// NewOracleFromStore finalizes the RR sets held by store into a queryable
-// oracle: the member index is built by streaming over the store, so a
-// disk-backed store never has to materialize every set on the heap at once.
-// The oracle snapshots the store's current size; appending to the store
-// afterwards (a SketchBuilder growing past an ErrorBound check) does not
-// disturb it. Every vertex id is validated against [0, n) during the
-// streaming pass — stores may be rehydrated from untrusted files. Only RRSet
-// reads through the store after construction, so the store must stay open
-// for as long as RRSet is called.
-func NewOracleFromStore(n int, model diffusion.Model, seed uint64, store RRStore) (*Oracle, error) {
+// newOracleFromStore finalizes the RR sets held by store into a queryable
+// oracle: the member index is built by streaming over the store on workers
+// goroutines (NewOracleParallel semantics), so a disk-backed store never has
+// to materialize every set on the heap at once. The oracle snapshots the
+// store's current size; appending to the store afterwards (a SketchBuilder
+// growing past an ErrorBound check) does not disturb it. Every vertex id is
+// validated against [0, n) during the streaming pass — stores may be
+// rehydrated from untrusted files. Only RRSet reads through the store after
+// construction, so the store must stay open for as long as RRSet is called.
+func newOracleFromStore(n int, model diffusion.Model, seed uint64, store RRStore, workers int) (*Oracle, error) {
 	if n < 1 {
 		return nil, ErrEmptyGraph
 	}
 	numSets := store.NumSets()
-	offsets, entries, err := transposeStore(n, numSets, store)
+	offsets, entries, err := transposeStore(n, numSets, store, workers)
 	if err != nil {
 		return nil, err
 	}
-	o, err := NewOracleFromMemberIndex(n, model, seed, numSets, offsets, entries)
+	o, err := newOracleFromMemberIndex(n, model, seed, numSets, offsets, entries, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -236,17 +240,24 @@ func NewOracleFromStore(n int, model diffusion.Model, seed uint64, store RRStore
 // are entries[offsets[v]:offsets[v+1]] — as an oracle over numSets RR sets.
 // Every construction path ends here, so the index is validated here: n+1
 // offsets from 0 that never decrease and end at len(entries), and per-vertex
-// ids strictly ascending in [0, numSets). The oracle keeps both slices
+// ids strictly ascending in [0, numSets). The check runs on all CPUs (the
+// load and split paths call this directly). The oracle keeps both slices
 // without copying (sketchio aliases them into a file mapping), and they must
 // not be modified afterwards.
 func NewOracleFromMemberIndex(n int, model diffusion.Model, seed uint64, numSets int, offsets []uint64, entries []int32) (*Oracle, error) {
+	return newOracleFromMemberIndex(n, model, seed, numSets, offsets, entries, -1)
+}
+
+// newOracleFromMemberIndex is NewOracleFromMemberIndex checking the index on
+// workers goroutines; the builder passes its own worker count.
+func newOracleFromMemberIndex(n int, model diffusion.Model, seed uint64, numSets int, offsets []uint64, entries []int32, workers int) (*Oracle, error) {
 	if n < 1 {
 		return nil, ErrEmptyGraph
 	}
 	if numSets < 1 || numSets > math.MaxInt32 {
 		return nil, fmt.Errorf("core: RR-set count %d outside [1, 2^31)", numSets)
 	}
-	if err := checkMemberIndex(n, numSets, offsets, entries); err != nil {
+	if err := checkMemberIndex(n, numSets, offsets, entries, workers); err != nil {
 		return nil, err
 	}
 	o := &Oracle{
@@ -261,67 +272,178 @@ func NewOracleFromMemberIndex(n int, model diffusion.Model, seed uint64, numSets
 	return o, nil
 }
 
-// transposeStore builds the CSR member index of the first numSets sets of
-// store in two streaming passes: a counting pass (which also validates every
-// vertex id against [0, n)) sizes each vertex's list, then a fill pass writes
-// the set ids. Lists fill in RR-set order, so two oracles over identical RR
-// sets answer every query identically regardless of how — or from which
-// store — they were constructed.
-func transposeStore(n, numSets int, store RRStore) ([]uint64, []int32, error) {
-	offsets := make([]uint64, n+1)
-	err := store.ForEach(0, numSets, func(i int, set []graph.VertexID) error {
-		for _, v := range set {
-			if v < 0 || int(v) >= n {
-				return fmt.Errorf("core: RR set %d contains vertex %d outside [0, %d)", i, v, n)
-			}
-			offsets[v+1]++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+// Every pass over a member index — transpose, check and pack — runs on
+// worker goroutines and writes or reports exactly what one worker would: the
+// worker count changes speed, never a byte or an error message.
+
+// chunksPerWorker is how many vertex chunks each worker of a per-vertex pass
+// gets on average. Chunks are handed out dynamically (parallel.For), so a
+// worker slowed by a concurrent task, such as the checksum a load computes
+// beside the check, leaves its remaining chunks to the others.
+const chunksPerWorker = 4
+
+// vertexChunks splits the vertices of a CSR member index whose offsets are
+// known to be non-decreasing into contiguous chunks of about equal work for a
+// pass on workers goroutines (Resolve semantics: negative means all CPUs).
+// Work counts one unit per entry and per vertex, so the hubs of a scale-free
+// graph, which own most entries, spread over the workers. It returns the
+// worker count to run the pass on and the chunk bounds: chunk c is
+// [bounds[c], bounds[c+1]), possibly empty.
+func vertexChunks(offsets []uint64, workers int) (w int, bounds []int) {
+	n := len(offsets) - 1
+	w = parallel.Resolve(workers, n)
+	parts := w * chunksPerWorker
+	total := offsets[n] + uint64(n)
+	bounds = make([]int, parts+1)
+	for c := 1; c < parts; c++ {
+		target := total * uint64(c) / uint64(parts)
+		bounds[c] = sort.Search(n, func(v int) bool { return offsets[v]+uint64(v) >= target })
 	}
-	for v := range n {
-		offsets[v+1] += offsets[v]
-	}
-	// offsets[v] is now the start of v's list and serves as its fill
-	// cursor, ending at the start of v+1's; shifting by one restores it.
-	entries := make([]int32, offsets[n])
-	err = store.ForEach(0, numSets, func(i int, set []graph.VertexID) error {
-		for _, v := range set {
-			entries[offsets[v]] = int32(i)
-			offsets[v]++
-		}
-		return nil
-	})
-	copy(offsets[1:], offsets[:n])
-	offsets[0] = 0
-	return offsets, entries, err
+	bounds[parts] = n
+	return w, bounds
 }
 
-// checkMemberIndex verifies a CSR member index in one pass over it. Strictly
-// ascending lists also reject an RR set that lists a vertex twice, which
-// every coverage path assumes cannot happen: the single-vertex count is a
-// list length, and the batch engine counts a range of a list.
-func checkMemberIndex(n, numSets int, offsets []uint64, entries []int32) error {
+// transposeStore builds the CSR member index of the first numSets sets of
+// store on workers goroutines. Each worker owns one contiguous range of set
+// indices and an n-entry cursor array: a counting pass (which also validates
+// every vertex id against [0, n)) counts each vertex in the range, a prefix
+// pass lays vertex v's list out as range 0's ids, then range 1's, and so on,
+// turning the counts into fill cursors, and a fill pass writes the set ids.
+// Lists therefore fill in RR-set order, strictly ascending, so two oracles
+// over identical RR sets answer every query identically regardless of how —
+// from which store, on how many workers — they were constructed. A bad
+// vertex id is reported for the lowest set index holding one.
+func transposeStore(n, numSets int, store RRStore, workers int) ([]uint64, []int32, error) {
+	w := parallel.Resolve(workers, numSets)
+	// The cursor arrays, 8n bytes each, stay within the size of the entries
+	// array they fill.
+	if st := store.Stats(); st.Sets > 0 {
+		w = min(w, max(1, int((st.PayloadBytes-4*int64(st.Sets))/(8*int64(n)))))
+	}
+	cursors := make([][]uint64, w)
+	errs := make([]error, w)
+	sets := func(r int) (lo, hi int) { return r * numSets / w, (r + 1) * numSets / w }
+	parallel.For(w, w, func(_, r int) {
+		count := make([]uint64, n)
+		cursors[r] = count
+		lo, hi := sets(r)
+		errs[r] = store.ForEach(lo, hi, func(i int, set []graph.VertexID) error {
+			for _, v := range set {
+				if v < 0 || int(v) >= n {
+					return fmt.Errorf("core: RR set %d contains vertex %d outside [0, %d)", i, v, n)
+				}
+				count[v]++
+			}
+			return nil
+		})
+	})
+	if err := firstError(errs); err != nil {
+		return nil, nil, err
+	}
+	offsets := make([]uint64, n+1)
+	var next uint64
+	for v := range n {
+		offsets[v] = next
+		for _, c := range cursors {
+			c[v], next = next, next+c[v]
+		}
+	}
+	offsets[n] = next
+	entries := make([]int32, next)
+	parallel.For(w, w, func(_, r int) {
+		cursor := cursors[r]
+		lo, hi := sets(r)
+		errs[r] = store.ForEach(lo, hi, func(i int, set []graph.VertexID) error {
+			for _, v := range set {
+				entries[cursor[v]] = int32(i)
+				cursor[v]++
+			}
+			return nil
+		})
+	})
+	if err := firstError(errs); err != nil {
+		return nil, nil, err
+	}
+	return offsets, entries, nil
+}
+
+// firstError returns the first non-nil error of per-range results, the one a
+// serial walk over the ranges in order would have stopped at.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkMemberIndex verifies a CSR member index on workers goroutines.
+// Strictly ascending lists also reject an RR set that lists a vertex twice,
+// which every coverage path assumes cannot happen: the single-vertex count is
+// a list length, and the batch engine counts a range of a list. The offsets
+// are checked first, in one O(n) pass; the lists of the vertices before the
+// first bad span are then checked in entry-balanced chunks. The error is the
+// one a serial walk over the vertices would meet first: the lowest failing
+// vertex's, a list fault before a later span fault.
+func checkMemberIndex(n, numSets int, offsets []uint64, entries []int32, workers int) error {
 	if len(offsets) != n+1 || offsets[0] != 0 || offsets[n] != uint64(len(entries)) {
 		return fmt.Errorf("core: member index offsets must be %d values from 0 to %d", n+1, len(entries))
 	}
+	spanned := n
+	var spanErr error
 	for v := range n {
-		lo, hi := offsets[v], offsets[v+1]
-		if hi < lo || hi > uint64(len(entries)) {
-			return fmt.Errorf("core: member list of vertex %d spans [%d, %d) outside [%d, %d]", v, lo, hi, lo, len(entries))
+		if lo, hi := offsets[v], offsets[v+1]; hi < lo || hi > uint64(len(entries)) {
+			spanned = v
+			spanErr = fmt.Errorf("core: member list of vertex %d spans [%d, %d) outside [%d, %d]", v, lo, hi, lo, len(entries))
+			break
 		}
-		prev := int32(-1)
-		for _, id := range entries[lo:hi] {
-			if id <= prev || int(id) >= numSets {
-				if id == prev {
-					return fmt.Errorf("core: RR set %d lists vertex %d twice", id, v)
-				}
-				return fmt.Errorf("core: member list of vertex %d has RR set %d after %d, want strictly ascending ids in [0, %d)", v, id, prev, numSets)
+	}
+	w, bounds := vertexChunks(offsets[:spanned+1], workers)
+	errs := make([]error, len(bounds)-1)
+	parallel.For(w, len(errs), func(_, c int) {
+		for v := bounds[c]; v < bounds[c+1]; v++ {
+			if list := entries[offsets[v]:offsets[v+1]]; !ascendingBelow(list, numSets) {
+				errs[c] = listError(v, list, numSets)
+				return
 			}
-			prev = id
 		}
+	})
+	if err := firstError(errs); err != nil {
+		return err
+	}
+	return spanErr
+}
+
+// ascendingBelow reports whether list is strictly ascending within
+// [0, numSets). Once the order holds, the first and last ids bound every
+// other, so only they need the range check.
+func ascendingBelow(list []int32, numSets int) bool {
+	if len(list) == 0 {
+		return true
+	}
+	prev := list[0]
+	for _, id := range list[1:] {
+		if id <= prev {
+			return false
+		}
+		prev = id
+	}
+	return list[0] >= 0 && int(prev) < numSets
+}
+
+// listError describes the first fault of vertex v's list, walking it as a
+// serial check would; it runs only on a list ascendingBelow rejected.
+func listError(v int, list []int32, numSets int) error {
+	prev := int32(-1)
+	for _, id := range list {
+		if id <= prev || int(id) >= numSets {
+			if id == prev {
+				return fmt.Errorf("core: RR set %d lists vertex %d twice", id, v)
+			}
+			return fmt.Errorf("core: member list of vertex %d has RR set %d after %d, want strictly ascending ids in [0, %d)", v, id, prev, numSets)
+		}
+		prev = id
 	}
 	return nil
 }

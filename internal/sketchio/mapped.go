@@ -48,12 +48,13 @@ type MappedSketch struct {
 // oracle's member index into the mapping when the format, platform and byte
 // order allow; otherwise it falls back to a heap-decoded oracle with the same
 // refcounting API. Either way every check runs before the oracle is
-// returned: the CRC-32C over the whole file, the header, and one pass over
-// the index (offsets non-decreasing and ending at the entry count, each
-// vertex's ids strictly ascending and below R). The file must hold exactly
-// one sketch: trailing bytes are corruption. The caller owns one reference
-// and must call Close when done; queries issued concurrently with Close must
-// hold their own Acquire/Release pair.
+// returned: the header, the index check on all CPUs (offsets non-decreasing
+// and ending at the entry count, each vertex's ids strictly ascending and
+// below R), and the CRC-32C over the whole file, computed beside the index
+// check; a structural fault is reported before a checksum mismatch. The file
+// must hold exactly one sketch: trailing bytes are corruption. The caller
+// owns one reference and must call Close when done; queries issued
+// concurrently with Close must hold their own Acquire/Release pair.
 //
 // Because the mapping is shared with the file, a mapped sketch file must
 // only ever be replaced atomically (write to a temp file, then rename into

@@ -2,6 +2,7 @@ package sketchio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -139,5 +140,54 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 	}
 	if _, err := OpenMapped(filepath.Join(dir, "missing.sketch")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestStructuralFaultBeatsStaleChecksum pins the precedence of the load
+// checks, which run concurrently: an image with a structural fault and a
+// stale checksum is ErrCorrupt, not ErrChecksum, through every loader, and
+// an image whose only fault is its checksum is ErrChecksum.
+func TestStructuralFaultBeatsStaleChecksum(t *testing.T) {
+	o := karateOracle(t, 300, 3)
+	raw := encode(t, o)
+	// The last entry, before the checksum, moved to R: out of range.
+	badEntry := bytes.Clone(raw)
+	binary.LittleEndian.PutUint32(badEntry[len(raw)-8:], uint32(o.NumSets()))
+	// The first vertex id of the first version 1 record moved to n.
+	badV1 := encodeV1(t, o)
+	binary.LittleEndian.PutUint32(badV1[headerLen+4:], uint32(o.NumVertices()))
+	// The build seed, which no structural check reads.
+	staleSum := bytes.Clone(raw)
+	staleSum[8] ^= 1
+	cases := []struct {
+		name      string
+		data      []byte
+		want, not error
+	}{
+		{"v3 entry out of range", badEntry, ErrCorrupt, ErrChecksum},
+		{"v1 vertex out of range", badV1, ErrCorrupt, ErrChecksum},
+		{"checksum only", staleSum, ErrChecksum, ErrCorrupt},
+	}
+	for _, c := range cases {
+		path := writeSketchFile(t, c.data)
+		loaders := []struct {
+			name string
+			load func() error
+		}{
+			{"OpenMapped", func() error {
+				m, err := OpenMapped(path)
+				if err == nil {
+					m.Close()
+				}
+				return err
+			}},
+			{"ReadFile", func() error { _, err := ReadFile(path); return err }},
+			{"Decode", func() error { _, err := Decode(bytes.NewReader(c.data)); return err }},
+		}
+		for _, l := range loaders {
+			if err := l.load(); !errors.Is(err, c.want) || errors.Is(err, c.not) {
+				t.Errorf("%s via %s: err = %v, want %v", c.name, l.name, err, c.want)
+			}
+		}
 	}
 }

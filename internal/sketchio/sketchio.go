@@ -391,9 +391,11 @@ func readImage(r io.Reader, hdr []byte, size uint64) ([]byte, error) {
 // decodeImage decodes a complete sketch image: data holds exactly one
 // sketch, so bytes after the checksum are corruption. Every check runs before
 // the oracle is returned — header, exact length, the body's structure (for
-// version 3 one pass over the member index), then the CRC-32C over
-// everything — and each only reads within bounds the earlier ones
-// established. A version 3 member index aliases data when the host is
+// version 3 the member index check, on all CPUs), and the CRC-32C over
+// everything, computed concurrently with the structural check — and each
+// only reads within bounds the earlier ones established. A structural fault
+// takes precedence over a checksum mismatch, as if the checks ran in that
+// order. A version 3 member index aliases data when the host is
 // little-endian and data is 8-byte aligned — aliased reports it, and data
 // must then outlive every use of the oracle; otherwise, and for version 1,
 // the oracle owns heap copies.
@@ -416,6 +418,26 @@ func decodeImage(data []byte) (o *core.Oracle, aliased bool, err error) {
 		}
 		body = body[lineageLen:]
 	}
+	// The checksum goroutine reads data, which the caller may unmap once
+	// this returns, so every path below waits for it.
+	sum := make(chan uint32, 1)
+	go func() { sum <- crc32.Checksum(data[:len(data)-4], castagnoliTab) }()
+	o, aliased, err = decodeBody(h, body)
+	if want := <-sum; err == nil && binary.LittleEndian.Uint32(data[len(data)-4:]) != want {
+		err = ErrChecksum
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	if h.sharded {
+		o, err = applyLineage(o, lineage)
+	}
+	return o, aliased, err
+}
+
+// decodeBody decodes and checks the version 1 records or the version 3
+// member index of a sketch image into an oracle.
+func decodeBody(h header, body []byte) (o *core.Oracle, aliased bool, err error) {
 	if h.version == versionV1 {
 		var rrSets [][]graph.VertexID
 		if rrSets, err = readRecords(bytes.NewReader(body), h.n, h.numSets, h.count, &vertexArena{}); err != nil {
@@ -431,13 +453,7 @@ func decodeImage(data []byte) (o *core.Oracle, aliased bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if binary.LittleEndian.Uint32(data[len(data)-4:]) != crc32.Checksum(data[:len(data)-4], castagnoliTab) {
-		return nil, false, ErrChecksum
-	}
-	if h.sharded {
-		o, err = applyLineage(o, lineage)
-	}
-	return o, aliased, err
+	return o, aliased, nil
 }
 
 // memberViews interprets the version 3 offsets and entries sections as

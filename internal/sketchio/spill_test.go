@@ -85,6 +85,34 @@ func TestSpillMatchesMemoryAcrossBudgetsAndWorkers(t *testing.T) {
 	}
 }
 
+// TestSpillOracleSameBytesAcrossTransposeWorkers finalizes one spill store,
+// built under a budget far below its size so that most of its segments are
+// decoded back from the file, through builders of 1, 2 and 4 workers. Each
+// Oracle() transposes the store on its builder's workers, and each must
+// encode to the in-memory build's sketch bytes.
+func TestSpillOracleSameBytesAcrossTransposeWorkers(t *testing.T) {
+	const total, seed = 5000, 37
+	want, _ := memoryBuiltSketch(t, 1, total, seed)
+	path := filepath.Join(t.TempDir(), "build.spill")
+	_, store := spillBuiltSketch(t, path, 2, total, seed, 4096, 128)
+	if len(store.segs) < 20 {
+		t.Fatalf("spill build wrote %d segments, want many", len(store.segs))
+	}
+	for _, workers := range []int{1, 2, 4} {
+		b, err := core.NewSketchBuilderFromStore(karateGraph(t), diffusion.IC, workers, seed, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := b.Oracle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeOracle(t, o), want) {
+			t.Errorf("workers=%d: spill oracle's sketch differs from the in-memory build's", workers)
+		}
+	}
+}
+
 // TestSpillBuildsTenTimesBudget is the acceptance criterion: a build whose
 // durable footprint exceeds 10× the memory budget still completes, keeps its
 // decoded working set within budget slack, and produces a sketch with the
