@@ -19,6 +19,9 @@
 // summed per-shard marginal counts. The gather is proportional to the
 // answer (the ranking pages it reads, one count per query item, one gain per
 // re-scored candidate), not to the vertex count × shards or to the RR sets.
+// A greedy round costs each shard one absorbed seed plus its candidates'
+// gains: core.Oracle.MarginalCoverage keeps covered state between calls,
+// matched by seed set, so the shard extends the previous round's state.
 //
 // The coordinator holds no state besides its target list: every response
 // carries the shard's identity (build identity + lineage), and the

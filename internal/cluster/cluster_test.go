@@ -248,7 +248,7 @@ func TestCoordinatorEquivalence(t *testing.T) {
 // process at several starting batch sizes and first-page sizes: the CELF
 // loop selects the same sequence however many stale entries each scatter
 // re-evaluates and however deep each ranking page reads. Requests run
-// concurrently, so the shards' pooled covered state and the coordinator's
+// concurrently, so the shards' idle covered states and the coordinator's
 // per-call loop state are exercised by overlapping selections.
 func TestCoordinatorGreedyBatchSizes(t *testing.T) {
 	path := buildSketchFile(t, diffusion.IC, 2*core.DefaultBatchShardSize, 11)
@@ -286,6 +286,43 @@ func TestCoordinatorGreedyBatchSizes(t *testing.T) {
 			wg.Wait()
 		}
 	}
+}
+
+// TestCoordinatorGreedyConcurrentConversations runs two greedy conversations
+// against one 2-shard fleet at once, ten queries each at k=20 and k=50 (which
+// Karate clamps to its 34 vertices). Each shard keeps covered states between
+// marginal rounds and matches them by seed set, so interleaved rounds of two
+// queries must each find their own state, or rebuild one, and never answer
+// from the other's: every body must equal the single process's.
+func TestCoordinatorGreedyConcurrentConversations(t *testing.T) {
+	path := buildSketchFile(t, diffusion.IC, 2*core.DefaultBatchShardSize, 13)
+	single := serveSketchFile(t, path)
+	coord := newCoordinator(t, Config{Targets: launchFleet(t, path, 2)})
+	var wg sync.WaitGroup
+	for _, body := range []string{`{"k":20}`, `{"k":50}`} {
+		status, want := postJSON(t, single.URL+"/v1/seeds", body)
+		if status != http.StatusOK {
+			t.Fatalf("single %s: status %d (%s)", body, status, want)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 10 {
+				resp, err := http.Post(coord.URL+"/v1/seeds", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				raw, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || string(raw) != string(want) {
+					t.Errorf("%s, query %d: status %d err %v\n got: %s\nwant: %s", body, i, resp.StatusCode, err, raw, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCoordinatorReloadMidFlight hot-reloads the shard servers through their

@@ -61,20 +61,31 @@ func (o *Oracle) batchInfluence(seedSets [][]graph.VertexID, workers, shardSize 
 // batchCoverage is BatchCoverage with an explicit shard size, so tests can
 // force multi-shard merging on small RR pools.
 func (o *Oracle) batchCoverage(seedSets [][]graph.VertexID, workers, shardSize int) ([]int64, []error) {
-	numQueries := len(seedSets)
-	values := make([]int64, numQueries)
-	errs := make([]error, numQueries)
-	if numQueries == 0 {
-		return values, errs
-	}
+	values := make([]int64, len(seedSets))
+	errs := make([]error, len(seedSets))
 	if shardSize < 1 {
 		shardSize = DefaultBatchShardSize
 	}
+	// Empty and single-seed queries read their count off the member index
+	// offsets in O(1); the cell grid holds the multi-seed queries only.
+	var multi []int
 	for i, seeds := range seedSets {
 		if err := o.ValidateSeeds(seeds); err != nil {
 			errs[i] = fmt.Errorf("seed set %d: %w", i, err)
+			continue
+		}
+		switch len(seeds) {
+		case 0:
+		case 1:
+			values[i] = o.count(seeds[0])
+		default:
+			multi = append(multi, i)
 		}
 	}
+	if len(multi) == 0 {
+		return values, errs
+	}
+	numQueries := len(multi)
 	numShards := (o.numSets + shardSize - 1) / shardSize
 	// The packed kernel applies when its block layout matches this call's
 	// sharding (always true outside tests that force odd shard sizes): each
@@ -94,12 +105,8 @@ func (o *Oracle) batchCoverage(seedSets [][]graph.VertexID, workers, shardSize i
 	w := parallel.Resolve(workers, items)
 	scratches := make([]*batchScratch, w)
 	parallel.For(w, items, func(worker, item int) {
-		q := item % numQueries
-		if errs[q] != nil {
-			return
-		}
 		shard := item / numQueries
-		seeds := seedSets[q]
+		seeds := seedSets[multi[item%numQueries]]
 		sc := scratches[worker]
 		if sc == nil {
 			sc, _ = o.batchPool.Get().(*batchScratch)
@@ -108,10 +115,7 @@ func (o *Oracle) batchCoverage(seedSets [][]graph.VertexID, workers, shardSize i
 			}
 			scratches[worker] = sc
 		}
-		// Single-seed cells always take the membership binary search in
-		// shardCoverage: it reads O(log) entries where the popcount would
-		// scan the whole row.
-		if packed != nil && len(seeds) > 1 {
+		if packed != nil {
 			if len(sc.acc) < packed.maxBlockWords() {
 				sc.acc = make([]uint64, packed.maxBlockWords())
 			}
@@ -133,15 +137,12 @@ func (o *Oracle) batchCoverage(seedSets [][]graph.VertexID, workers, shardSize i
 			o.batchPool.Put(sc)
 		}
 	}
-	for q := range seedSets {
-		if errs[q] != nil {
-			continue
-		}
+	for q, i := range multi {
 		var hits int64
 		for shard := 0; shard < numShards; shard++ {
 			hits += counts[shard*numQueries+q]
 		}
-		values[q] = hits
+		values[i] = hits
 	}
 	return values, errs
 }
@@ -163,15 +164,6 @@ type batchScratch struct {
 // seeds. The count is exact, so summing it over a partition of the index
 // space reproduces the serial distinct count.
 func (o *Oracle) shardCoverage(seeds []graph.VertexID, lo, hi int, sc *batchScratch) int64 {
-	if len(seeds) == 0 {
-		return 0
-	}
-	if len(seeds) == 1 {
-		// No dedup needed across a single membership list: each RR set holds
-		// a vertex at most once, matching the serial single-seed fast path.
-		m := o.members(seeds[0])
-		return int64(lowerBound(m, int32(hi)) - lowerBound(m, int32(lo)))
-	}
 	sc.epoch++
 	if sc.epoch <= 0 { // epoch wrapped: reset the stamps
 		clear(sc.marks)

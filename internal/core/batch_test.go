@@ -74,6 +74,40 @@ func TestBatchInfluenceMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBatchCoverageMixedSizes checks the batch engine's split between
+// queries it answers from the member index offsets (empty and one-seed sets)
+// and the cell grid (everything else) on batches that mix them with repeated
+// queries, duplicated seeds and an out-of-range seed. At the default shard
+// size the pool splits into two blocks, so the bitpack grid merges blocks;
+// at 700 both kernels take the epoch cells. Every count and error must equal
+// a loop of Coverage, under both kernels, at 1, 2 and 8 workers.
+func TestBatchCoverageMixedSizes(t *testing.T) {
+	o := batchTestOracle(t, DefaultBatchShardSize+3000)
+	queries := [][]graph.VertexID{
+		{}, {7}, {7, 9, 300}, {7}, nil, {9, 9}, {400}, {12, 400},
+		{399}, {7, 9, 300}, {0, 1, 2, 3, 4, 5, 6, 7}, {}, {0},
+	}
+	for _, kernel := range []Kernel{KernelEpoch, KernelBitpack} {
+		if err := o.SetKernel(kernel); err != nil {
+			t.Fatal(err)
+		}
+		for _, shardSize := range []int{DefaultBatchShardSize, 700} {
+			for _, workers := range []int{1, 2, 8} {
+				counts, errs := o.batchCoverage(queries, workers, shardSize)
+				for i, seeds := range queries {
+					want, err := o.Coverage(seeds)
+					if (errs[i] != nil) != (err != nil) || err != nil && !errors.Is(errs[i], ErrSeedOutOfRange) {
+						t.Errorf("%s, shard %d, %d workers: query %d error %v, Coverage error %v", kernel, shardSize, workers, i, errs[i], err)
+					}
+					if counts[i] != want {
+						t.Errorf("%s, shard %d, %d workers: query %d = %d, Coverage %d", kernel, shardSize, workers, i, counts[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBatchInfluencePerItemErrors checks that invalid items report errors
 // without disturbing their neighbours.
 func TestBatchInfluencePerItemErrors(t *testing.T) {

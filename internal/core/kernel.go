@@ -165,16 +165,7 @@ func (m *bitMatrix) row(v, b int) []uint64 {
 // the seed rows into acc (whose first blockWords[b] entries it clears and
 // uses as scratch) and popcounting the merged words.
 func (m *bitMatrix) blockCoverage(seeds []graph.VertexID, b int, acc []uint64) int64 {
-	w := m.blockWords[b]
-	if len(seeds) == 1 {
-		row := m.row(int(seeds[0]), b)
-		var hits int64
-		for _, word := range row {
-			hits += int64(bits.OnesCount64(word))
-		}
-		return hits
-	}
-	acc = acc[:w]
+	acc = acc[:m.blockWords[b]]
 	clear(acc)
 	for _, v := range seeds {
 		row := m.row(int(v), b)
@@ -199,18 +190,9 @@ func (m *bitMatrix) coverage(seeds []graph.VertexID, acc []uint64) int64 {
 	return hits
 }
 
-// coveredWords returns the length of a covered bitmap over m's full index
-// space: one bit per RR set, block b's words starting at b·maxBlockWords()
-// (every block but the last is full width).
-func (m *bitMatrix) coveredWords() int {
-	total := 0
-	for _, w := range m.blockWords {
-		total += w
-	}
-	return total
-}
-
-// cover ORs vertex v's rows into the covered bitmap.
+// cover ORs vertex v's rows into a covered bitset over m's full index space,
+// whose bit i is RR set i: every block but the last is full width, so block
+// b's words start at word b·maxBlockWords().
 func (m *bitMatrix) cover(v int, covered []uint64) {
 	for b := range m.numBlocks() {
 		row := m.row(v, b)
@@ -222,7 +204,7 @@ func (m *bitMatrix) cover(v int, covered []uint64) {
 	}
 }
 
-// uncovered counts the RR sets containing v that the covered bitmap does not
+// uncovered counts the RR sets containing v that the covered bitset does not
 // flag: popcount(row AND NOT covered), summed over the blocks.
 func (m *bitMatrix) uncovered(v int, covered []uint64) int64 {
 	var hits int64

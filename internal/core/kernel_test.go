@@ -439,7 +439,7 @@ var baGreedyOracle = sync.OnceValues(func() (*Oracle, error) {
 // strategy, not the per-vertex scan, the cost.
 func BenchmarkCoverageGreedy(b *testing.B) {
 	run := func(b *testing.B, o *Oracle, k int) {
-		o.GreedySeeds(1) // builds the packed index and the pooled scratch
+		o.GreedySeeds(1) // builds the packed index and an idle covered state
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if seeds := o.GreedySeeds(k); len(seeds) != k {

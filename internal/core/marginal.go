@@ -26,6 +26,7 @@ import (
 	"container/heap"
 	"math"
 	"slices"
+	"sync"
 
 	"imdist/internal/graph"
 )
@@ -154,56 +155,137 @@ func CELF(k int, initial []int64, next Pager, batch int, marginal MarginalFunc) 
 }
 
 // coverState is the covered-RR-set state shared by MarginalCoverage and the
-// greedy loop: it absorbs seeds one at a time and answers any candidate's
-// marginal gain against the seeds absorbed so far. Under the epoch kernel it
-// flags covered sets in a []bool through the seeds' member lists; under
-// bitpack it ORs the seeds' rows into a covered bitmap and popcounts each
-// candidate's row AND NOT covered. Both count the same integers. A coverState
-// is pooled per oracle and used by one call at a time.
+// greedy loop: a bitset whose bit i flags RR set i as covered by a seed
+// absorbed so far, and the absorbed seeds. It answers any candidate's
+// marginal gain against them. Under the epoch kernel, add sets the bits of
+// the seed's member list and gain is the candidate's list length minus its
+// covered bits; under bitpack, add ORs the seed's packed rows into the bitset
+// and gain popcounts the candidate's rows AND NOT covered. Both count the same
+// integers, and bitMatrix.cover writes block b from bit
+// b·DefaultBatchShardSize on, so the two kernels share one layout and a state
+// stays valid when SetKernel flips the kernel.
+//
+// An oracle keeps up to maxIdleCovers states between calls (coverCache); one
+// call owns a state from takeCover to putCover.
 type coverState struct {
-	o     *Oracle
-	m     *bitMatrix // nil under the epoch kernel
-	sets  []bool     // epoch: covered flag per RR set
-	words []uint64   // bitpack: covered bitmap (bitMatrix.cover layout)
-	added int        // seeds absorbed so far
+	o      *Oracle
+	m      *bitMatrix       // nil under the epoch kernel
+	words  []uint64         // covered bitset, R bits
+	seeds  []graph.VertexID // absorbed seeds, ascending while idle
+	reused int              // seeds already absorbed when this call took the state
 }
 
-// getCover borrows an empty coverState for the oracle's current kernel.
-func (o *Oracle) getCover() *coverState {
-	c, _ := o.coverPool.Get().(*coverState)
-	if c == nil {
-		c = &coverState{o: o}
+// maxIdleCovers bounds the covered states an oracle keeps between calls, at
+// R/8 bytes each: enough for a few concurrent greedy queries of a shard fleet
+// to each find the state its previous round left.
+const maxIdleCovers = 4
+
+// coverCache holds an oracle's idle covered states. A greedy round of a shard
+// fleet asks a shard for marginal gains against the seeds picked so far,
+// which are the previous round's seeds plus one, so a call that starts from
+// the largest idle state it contains absorbs one seed instead of all of them.
+type coverCache struct {
+	mu       sync.Mutex
+	idle     []*coverState // in put order: the least recently used first
+	absorbed int64         // seeds absorbed by every call so far
+}
+
+// takeCover hands a call the idle state whose absorbed set is the largest
+// subset of seeds (ascending and distinct), so the call absorbs only the
+// seeds it lacks. When no idle state fits, it clears the least recently used
+// one if the idle list is full, and allocates a new state otherwise, so
+// concurrent conversations each keep their own.
+func (o *Oracle) takeCover(seeds []graph.VertexID) *coverState {
+	cc := &o.covers
+	cc.mu.Lock()
+	best := -1
+	for i, c := range cc.idle {
+		if isSubset(c.seeds, seeds) && (best < 0 || len(c.seeds) > len(cc.idle[best].seeds)) {
+			best = i
+		}
 	}
-	c.added = 0
+	fits := best >= 0
+	if !fits && len(cc.idle) == maxIdleCovers {
+		best = 0
+	}
+	var c *coverState
+	if best >= 0 {
+		c = cc.idle[best]
+		cc.idle = slices.Delete(cc.idle, best, best+1)
+	}
+	cc.mu.Unlock()
+
+	switch {
+	case c == nil:
+		c = &coverState{o: o, words: make([]uint64, (o.numSets+63)/64)}
+	case !fits:
+		clear(c.words)
+		c.seeds = c.seeds[:0]
+	}
+	c.reused = len(c.seeds)
 	c.m = nil
 	if o.useBitpack() {
 		c.m = o.packedMatrix()
-		if w := c.m.coveredWords(); len(c.words) != w {
-			c.words = make([]uint64, w)
-		} else {
-			clear(c.words)
-		}
-		return c
-	}
-	if len(c.sets) != o.numSets {
-		c.sets = make([]bool, o.numSets)
-	} else {
-		clear(c.sets)
 	}
 	return c
 }
 
-func (o *Oracle) putCover(c *coverState) { o.coverPool.Put(c) }
+// putCover returns a state taken by takeCover to the idle list, evicting the
+// least recently used state when the list would exceed maxIdleCovers.
+func (o *Oracle) putCover(c *coverState) {
+	slices.Sort(c.seeds)
+	cc := &o.covers
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	cc.absorbed += int64(len(c.seeds) - c.reused)
+	cc.idle = append(cc.idle, c)
+	if len(cc.idle) > maxIdleCovers {
+		cc.idle = slices.Delete(cc.idle, 0, 1)
+	}
+}
 
-// add marks every RR set containing v as covered.
+// isSubset reports whether the ascending set sub is contained in the
+// ascending set set.
+func isSubset(sub, set []graph.VertexID) bool {
+	if len(sub) > len(set) {
+		return false
+	}
+	j := 0
+	for _, v := range sub {
+		for j < len(set) && set[j] < v {
+			j++
+		}
+		if j == len(set) || set[j] != v {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// add marks every RR set containing v as covered and records v as absorbed.
 func (c *coverState) add(v graph.VertexID) {
-	c.added++
+	c.seeds = append(c.seeds, v)
 	if c.m != nil {
 		c.m.cover(int(v), c.words)
 		return
 	}
+	words := c.words
 	for _, idx := range c.o.members(v) {
-		c.sets[idx] = true
+		words[uint32(idx)>>6] |= 1 << (uint32(idx) & 63)
+	}
+}
+
+// absorb adds every seed of set (ascending, distinct) that the state lacks;
+// the state's own seeds must be a subset of set, as takeCover guarantees.
+func (c *coverState) absorb(set []graph.VertexID) {
+	have, i := c.seeds, 0 // add appends past have's end
+	for _, v := range set {
+		if i < len(have) && have[i] == v {
+			i++
+		} else {
+			c.add(v)
+		}
 	}
 }
 
@@ -212,20 +294,21 @@ func (c *coverState) gain(v graph.VertexID) int64 {
 	if c.m != nil {
 		return c.m.uncovered(int(v), c.words)
 	}
-	var g int64
-	for _, idx := range c.o.members(v) {
-		if !c.sets[idx] {
-			g++
-		}
+	list := c.o.members(v)
+	words := c.words
+	var covered int64
+	for _, idx := range list {
+		covered += int64(words[uint32(idx)>>6] >> (uint32(idx) & 63) & 1)
 	}
-	return g
+	return int64(len(list)) - covered
 }
 
-// marginal is the oracle's MarginalFunc for CELF. The loop only ever appends
-// to seeds, so each call absorbs just the seeds picked since the last one:
-// the covered state grows by one seed per pick and no RR set is re-read.
+// marginal is the oracle's MarginalFunc for CELF on a state taken empty. The
+// loop only ever appends to seeds, so each call absorbs just the seeds picked
+// since the last one: the covered state grows by one seed per pick and no RR
+// set is re-read.
 func (c *coverState) marginal(seeds, candidates []graph.VertexID, gains []int64) error {
-	for _, v := range seeds[c.added:] {
+	for _, v := range seeds[len(c.seeds):] {
 		c.add(v)
 	}
 	for i, v := range candidates {
@@ -239,7 +322,10 @@ func (c *coverState) marginal(seeds, candidates []graph.VertexID, gains []int64)
 // integer marginal coverage gain of adding c to the seed set. A nil
 // candidates slice means every vertex in [0, n), in ascending order. With
 // empty seeds the result is each candidate's membership count, read from the
-// member index offsets in O(1) per candidate under either kernel.
+// member index offsets in O(1) per candidate under either kernel. Otherwise
+// the call starts from the covered state of an earlier call whose seeds its
+// own contain, when the oracle still holds one (takeCover), so a caller
+// whose seed set grows by one seed per call pays for one seed per call.
 //
 // This is the greedy primitive of the distributed serving tier: per-shard
 // marginal counts are integers, so a coordinator can sum them across a
@@ -264,10 +350,9 @@ func (o *Oracle) MarginalCoverage(seeds, candidates []graph.VertexID) ([]int64, 
 		}
 		return gains, nil
 	}
-	c := o.getCover()
-	for _, v := range seeds {
-		c.add(v)
-	}
+	set := slices.Compact(slices.Sorted(slices.Values(seeds)))
+	c := o.takeCover(set)
+	c.absorb(set)
 	var gains []int64
 	if candidates == nil {
 		gains = make([]int64, o.n)

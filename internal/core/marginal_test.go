@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"imdist/internal/diffusion"
@@ -199,8 +200,9 @@ func referenceGreedy(t *testing.T, o *Oracle, k int) []graph.VertexID {
 	return seeds
 }
 
-// marginalCoverageFunc adapts the stateless MarginalCoverage to CELF's
-// primitive, as the coordinator's scatter does over a fleet.
+// marginalCoverageFunc adapts MarginalCoverage, which takes the whole seed
+// set on every call, to CELF's primitive, as the coordinator's scatter does
+// over a fleet.
 func marginalCoverageFunc(o *Oracle) MarginalFunc {
 	return func(seeds, candidates []graph.VertexID, gains []int64) error {
 		g, err := o.MarginalCoverage(seeds, candidates)
@@ -280,6 +282,238 @@ func TestMarginalGreedyReproducesGreedySeeds(t *testing.T) {
 					})
 				}
 			}
+		})
+	}
+}
+
+// bruteMarginal counts, for every vertex, the RR sets that contain it and no
+// seed: the marginal gains by definition, computed fresh from the sets.
+func bruteMarginal(sets [][]graph.VertexID, n int, seeds []graph.VertexID) []int64 {
+	isSeed := make([]bool, n)
+	for _, v := range seeds {
+		isSeed[v] = true
+	}
+	gains := make([]int64, n)
+	for _, set := range sets {
+		if slices.ContainsFunc(set, func(v graph.VertexID) bool { return isSeed[v] }) {
+			continue
+		}
+		for _, v := range set {
+			gains[v]++
+		}
+	}
+	return gains
+}
+
+// reusePool is an oracle over randomRRSets together with the sets
+// themselves, for bruteMarginal.
+func reusePool(t testing.TB, n, numSets int, density float64, seed uint64) (*Oracle, [][]graph.VertexID) {
+	t.Helper()
+	o, err := NewOracleFromRRSets(n, diffusion.IC, 0, randomRRSets(n, numSets, density, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o, randomRRSets(n, numSets, density, seed)
+}
+
+// growingSeeds returns a random order of the vertices [0, n): its prefixes
+// are the seed sets of one greedy conversation, in pick order.
+func growingSeeds(n int, seed uint64) []graph.VertexID {
+	src := rng.NewXoshiro(seed)
+	order := make([]graph.VertexID, n)
+	for i := range order {
+		order[i] = graph.VertexID(i)
+	}
+	for i := n - 1; i > 0; i-- {
+		j := src.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	return order
+}
+
+// reuseSequence is a MarginalCoverage seed sequence that meets every way a
+// call can relate to the covered states earlier calls left: two
+// conversations growing by one seed per call, interleaved; a jump by several
+// seeds; a shrink; a repeat; and lists in pick order with duplicates.
+func reuseSequence(n int, seed uint64) [][]graph.VertexID {
+	a, b := growingSeeds(n, seed), growingSeeds(n, seed+1)
+	var seq [][]graph.VertexID
+	for i := 1; i <= min(n, 6); i++ {
+		seq = append(seq, a[:i], b[:i])
+	}
+	return append(seq,
+		a[:min(n, 11)],
+		a[:2],
+		a[:2],
+		append(slices.Clone(a[:min(n, 3)]), a[1], a[0], a[1]),
+		b[:min(n, 9)],
+		b[:min(n, 10)],
+	)
+}
+
+// checkMarginal runs MarginalCoverage over every vertex and over a candidate
+// list with repeats, and compares both with bruteMarginal.
+func checkMarginal(t testing.TB, o *Oracle, sets [][]graph.VertexID, seeds []graph.VertexID) {
+	t.Helper()
+	n := o.NumVertices()
+	want := bruteMarginal(sets, n, seeds)
+	got, err := o.MarginalCoverage(seeds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("seeds %v: gains %v, want %v", seeds, got, want)
+	}
+	cands := []graph.VertexID{graph.VertexID(n - 1), 0, graph.VertexID(n / 2), 0}
+	sub, err := o.MarginalCoverage(seeds, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range cands {
+		if sub[i] != want[v] {
+			t.Errorf("seeds %v: candidate %d gain %d, want %d", seeds, v, sub[i], want[v])
+		}
+	}
+}
+
+// TestMarginalCoverageReuseMatchesBruteForce drives MarginalCoverage, whose
+// covered states outlive each call, through reuseSequence on random pools
+// under both kernels; every answer must equal a fresh brute-force count. The
+// last pool spans two 64Ki-set blocks, so the bitpack covered words do too.
+func TestMarginalCoverageReuseMatchesBruteForce(t *testing.T) {
+	shapes := append(slices.Clone(indexTestShapes), struct {
+		n, numSets int
+		density    float64
+	}{30, DefaultBatchShardSize + 300, 0.05})
+	for si, sh := range shapes {
+		t.Run(fmt.Sprintf("n=%d/R=%d", sh.n, sh.numSets), func(t *testing.T) {
+			o, sets := reusePool(t, sh.n, sh.numSets, sh.density, uint64(400+si))
+			bothKernels(t, o, func(t *testing.T, o *Oracle) {
+				for _, seeds := range reuseSequence(sh.n, uint64(si)) {
+					checkMarginal(t, o, sets, seeds)
+				}
+			})
+		})
+	}
+}
+
+// TestMarginalCoverageReuseAcrossKernelFlip flips the kernel between the
+// calls of one sequence: a covered state absorbed under one kernel must
+// answer exactly under the other.
+func TestMarginalCoverageReuseAcrossKernelFlip(t *testing.T) {
+	o, sets := reusePool(t, 40, DefaultBatchShardSize+500, 0.1, 17)
+	for i, seeds := range reuseSequence(o.NumVertices(), 3) {
+		if err := o.SetKernel([]Kernel{KernelEpoch, KernelBitpack}[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		checkMarginal(t, o, sets, seeds)
+	}
+}
+
+// TestMarginalCoverageReuseConcurrent runs eight growing conversations on one
+// oracle at once, under both kernels (run under -race): covered states pass
+// between goroutines through the idle list, and every answer must stay
+// exact.
+func TestMarginalCoverageReuseConcurrent(t *testing.T) {
+	o, sets := reusePool(t, 60, 3000, 0.1, 23)
+	bothKernels(t, o, func(t *testing.T, o *Oracle) {
+		var wg sync.WaitGroup
+		for g := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				order := growingSeeds(o.NumVertices(), uint64(100+g))
+				for i := 1; i <= 12; i++ {
+					want := bruteMarginal(sets, o.NumVertices(), order[:i])
+					got, err := o.MarginalCoverage(order[:i], nil)
+					if err != nil || !slices.Equal(got, want) {
+						t.Errorf("goroutine %d, %d seeds: gains %v (%v), want %v", g, i, got, err, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if idle := o.idleCovers(); idle > maxIdleCovers {
+			t.Errorf("%d idle covered states, want at most %d", idle, maxIdleCovers)
+		}
+	})
+}
+
+// TestMarginalCoverageReuseBoundAndWork pins the cost model: a k-round
+// growing sequence, the calls one shard serves for a fleet greedy query,
+// absorbs k seeds in all rather than k(k+1)/2, and the idle list never holds
+// more than maxIdleCovers states, however many calls ran at once.
+func TestMarginalCoverageReuseBoundAndWork(t *testing.T) {
+	const k = 20
+	for _, kernel := range []Kernel{KernelEpoch, KernelBitpack} {
+		t.Run(string(kernel), func(t *testing.T) {
+			o, _ := reusePool(t, 50, 2000, 0.1, 29)
+			if err := o.SetKernel(kernel); err != nil {
+				t.Fatal(err)
+			}
+			order := growingSeeds(o.NumVertices(), 31)
+			for i := 1; i <= k; i++ {
+				if _, err := o.MarginalCoverage(order[:i], order[i:i+8]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := o.absorbedSeeds(); got != k {
+				t.Errorf("a %d-round growing sequence absorbed %d seeds, want %d", k, got, k)
+			}
+			var wg sync.WaitGroup
+			for g := range 8 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					order := growingSeeds(o.NumVertices(), uint64(200+g))
+					for i := 1; i <= 6; i++ {
+						if _, err := o.MarginalCoverage(order[:i], nil); err != nil {
+							t.Error(err)
+						}
+						if idle := o.idleCovers(); idle > maxIdleCovers {
+							t.Errorf("%d idle covered states, want at most %d", idle, maxIdleCovers)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// BenchmarkMarginalRounds replays the calls one shard of a fleet serves for
+// a greedy query at k=50: 50 MarginalCoverage calls, each with one more seed
+// than the last and 64 candidates. Each op draws its seeds from the next of
+// 8 disjoint 50-vertex slices of the ranking, twice maxIdleCovers, so no op
+// starts from a state an earlier op left. It reports the seeds absorbed per
+// op: 50 when every round starts from the state the previous round left,
+// 1,275 when every round absorbs all its seeds.
+func BenchmarkMarginalRounds(b *testing.B) {
+	const rounds, slicesInTurn = 50, 2 * maxIdleCovers
+	o, err := baGreedyOracle()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ranked := o.ranking()
+	cands := ranked[:64]
+	next := 0 // the slice the next op draws from, across every b.N pass
+	for _, kernel := range []Kernel{KernelEpoch, KernelBitpack} {
+		b.Run("kernel="+string(kernel), func(b *testing.B) {
+			if err := o.SetKernel(kernel); err != nil {
+				b.Fatal(err)
+			}
+			before := o.absorbedSeeds()
+			for i := 0; i < b.N; i++ {
+				seeds := ranked[next%slicesInTurn*rounds:][:rounds]
+				next++
+				for r := 1; r <= rounds; r++ {
+					if _, err := o.MarginalCoverage(seeds[:r], cands); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(o.absorbedSeeds()-before)/float64(b.N), "absorbed/op")
 		})
 	}
 }

@@ -31,10 +31,10 @@ import (
 // of an estimate is n·F(S) ± 1.29·n/√R.
 //
 // The query methods (Influence, MarginalCoverage, GreedySeeds,
-// TopSingleVertices, RankPage) are safe for concurrent use: all per-call
-// scratch state lives in pooled buffers, never on the oracle itself, and the
-// derived indexes (the packed matrix, the ranking) are built once on first
-// use.
+// TopSingleVertices, RankPage) are safe for concurrent use: per-call scratch
+// state lives in pooled buffers or, for covered states, in an idle list that
+// hands each state to one call at a time, and the derived indexes (the
+// packed matrix, the ranking) are built once on first use.
 type Oracle struct {
 	n       int
 	numSets int
@@ -60,12 +60,14 @@ type Oracle struct {
 	// for whole sketches); it travels with the oracle when serialized.
 	shard ShardLineage
 
-	// influencePool holds *influenceScratch, coverPool holds *coverState
-	// (MarginalCoverage and GreedySeeds), batchPool holds *batchScratch
+	// influencePool holds *influenceScratch, batchPool holds *batchScratch
 	// (BatchCoverage).
 	influencePool sync.Pool
-	coverPool     sync.Pool
 	batchPool     sync.Pool
+
+	// covers keeps covered states between MarginalCoverage and GreedySeeds
+	// calls (marginal.go).
+	covers coverCache
 
 	// kernels holds the coverage-kernel selection (epoch vs bitpack) and the
 	// lazily built packed index; see kernel.go.
@@ -671,12 +673,12 @@ func (o *Oracle) GreedySeeds(k int) []graph.VertexID {
 // free as the sum of the selected gains. Every vertex starts at its
 // membership count, and only stale heap tops are re-evaluated — one at a
 // time at first, doubling while the top stays stale — against a covered
-// state that grows by one seed per pick.
+// state, taken empty, that grows by one seed per pick.
 func (o *Oracle) GreedyCoverage(k int) ([]graph.VertexID, int64) {
 	if k < 1 {
 		return nil, 0
 	}
-	c := o.getCover()
+	c := o.takeCover(nil)
 	seeds, covered, _ := CELF(k, o.VertexCoverage(), nil, 1, c.marginal) // the local primitive never fails
 	o.putCover(c)
 	return seeds, covered

@@ -8,7 +8,10 @@
 // are reproducible from a single master seed.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is the minimal interface the influence-maximization code needs from
 // a pseudorandom number generator. Implementations are not safe for
@@ -123,30 +126,8 @@ func intnFromUint64(u uint64, n int) int {
 		panic("rng: Intn called with non-positive n")
 	}
 	// Lemire's multiply-shift reduction.
-	hi, _ := mul64(u, uint64(n))
+	hi, _ := bits.Mul64(u, uint64(n))
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-
-	t := aLo * bLo
-	w0 := t & mask32
-	k := t >> 32
-
-	t = aHi*bLo + k
-	w1 := t & mask32
-	w2 := t >> 32
-
-	t = aLo*bHi + w1
-	k = t >> 32
-
-	hi = aHi*bHi + w2 + k
-	lo = (t << 32) | w0
-	return hi, lo
 }
 
 // NormFloat64 returns a normally distributed value with mean 0 and standard
