@@ -276,9 +276,8 @@ func run(args []string) error {
 		return err
 	}
 	if autoSpill {
-		// The sketch is durable; the scratch spill file has served its
-		// purpose. (The oracle stays readable: its working set is in memory
-		// and unix unlink keeps the mapped file alive until close.)
+		// The sketch is durable; the scratch spill file, closed once the
+		// oracle's member index was built, has served its purpose.
 		os.Remove(*checkpoint)
 	}
 	if *spill {

@@ -643,8 +643,9 @@ type BuildProgress struct {
 	Bound float64
 	// Fraction estimates overall completion in [0, 1].
 	Fraction float64
-	// SpillBytes is the build's durable on-disk footprint — the spill file's
-	// size for spill builds, 0 for in-memory builds.
+	// SpillBytes is the build's durable on-disk footprint — the checkpoint
+	// file's size for every BuildSketchWithCheckpoint build, spilled or not,
+	// and 0 for in-memory builds.
 	SpillBytes int64
 }
 
@@ -661,12 +662,13 @@ type BuildOptions struct {
 	MaxSets int
 	// Progress, when non-nil, observes every build round.
 	Progress func(BuildProgress)
-	// Spill makes BuildSketchWithCheckpoint stream every generated batch to
-	// the checkpoint file as it is produced and keep only a bounded working
-	// set of decoded RR sets in memory, so sketches far larger than RAM build
-	// within a fixed budget. The on-disk bytes are the ordinary v2 checkpoint
-	// format, so interruption and resume work exactly as without Spill — and
-	// the finished sketch is byte-identical to an in-memory build.
+	// Spill makes BuildSketchWithCheckpoint keep only a bounded working set
+	// of decoded RR sets in memory, reading the rest back from the
+	// checkpoint file, so sketches far larger than RAM build within a fixed
+	// budget. Without it every set also stays on the heap. Both write the
+	// same v2 checkpoint file through the same writer, so interruption and
+	// resume work alike — and the finished sketch is byte-identical to an
+	// in-memory build.
 	Spill bool
 	// MemBudget bounds the spill working set in bytes: 0 selects the default
 	// (64 MiB), negative means unbounded. Ignored unless Spill is set.
@@ -736,20 +738,19 @@ func (n *InfluenceNetwork) BuildSketchToTarget(opt OracleOptions, eps, delta flo
 
 // BuildSketchWithCheckpoint runs a checkpointed build end to end: it opens
 // (or resumes) the append-only checkpoint file at path, continues the build
-// from the RR sets already durable there, and appends each round's new sets
-// as a CRC-framed segment before reporting progress. Interrupt it at any
-// point — crash included — and the same call continues where the checkpoint
-// left off, ultimately producing a sketch byte-identical to the
-// uninterrupted build. The checkpoint file is left in place on success;
-// remove it once the final sketch is saved.
+// from the RR sets already durable there, and writes each round's new sets
+// through to the file as one CRC-framed segment before reporting progress.
+// Interrupt it at any point — crash included — and the same call continues
+// where the checkpoint left off, ultimately producing a sketch
+// byte-identical to the uninterrupted build. The file is closed before the
+// oracle is returned and left in place; remove it once the final sketch is
+// saved.
 //
-// With bopt.Spill set the checkpoint file is also the build's primary
-// storage: batches stream to it as they are generated and only a working set
-// bounded by bopt.MemBudget stays decoded on the heap, so the build's memory
-// use is independent of the sketch's size. The returned oracle then serves
-// reads through the open spill file, which stays open for the life of the
-// process; save the sketch (SaveSketchFile) and delete the spill file once
-// done.
+// A checkpointed build is a spill build whose working set is unbounded:
+// every set also stays decoded on the heap. With bopt.Spill set the working
+// set is bounded by bopt.MemBudget instead, so the build's memory use is
+// independent of the sketch's size; the file and the sketch are the same
+// either way. The returned oracle holds only its member index.
 func (n *InfluenceNetwork) BuildSketchWithCheckpoint(ctx context.Context, path string, opt OracleOptions, bopt BuildOptions) (*InfluenceOracle, BuildSummary, error) {
 	if n == nil || n.ig == nil {
 		return nil, BuildSummary{}, errNilNetwork
@@ -758,26 +759,23 @@ func (n *InfluenceNetwork) BuildSketchWithCheckpoint(ctx context.Context, path s
 	if err != nil {
 		return nil, BuildSummary{}, err
 	}
+	budget := int64(-1)
 	if bopt.Spill {
-		b, store, res, err := sketchio.BuildSpill(ctx, path, n.ig, m, opt.Workers, opt.Seed, bopt.MemBudget, bopt.coreTarget())
-		if err != nil {
-			if store != nil {
-				_ = store.Close()
-			}
-			return nil, toSummary(res), err
-		}
-		o, err := b.Oracle()
-		if err != nil {
-			_ = store.Close()
-			return nil, toSummary(res), err
-		}
-		return &InfluenceOracle{o: o}, toSummary(res), nil
+		budget = bopt.MemBudget
 	}
-	b, res, err := sketchio.BuildWithCheckpoint(ctx, path, n.ig, m, opt.Workers, opt.Seed, bopt.coreTarget())
+	b, store, res, err := sketchio.BuildSpill(ctx, path, n.ig, m, opt.Workers, opt.Seed, budget, bopt.coreTarget())
 	if err != nil {
+		if store != nil {
+			_ = store.Close()
+		}
 		return nil, toSummary(res), err
 	}
+	// The oracle keeps only its member index, so the file closes as soon as
+	// the index is built.
 	o, err := b.Oracle()
+	if cerr := store.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, toSummary(res), err
 	}

@@ -8,8 +8,8 @@
 // exported method on a struct with a sync.Mutex/RWMutex field whose return
 // statement hands back a slice- or map-typed field (or an element of one)
 // reached directly from the receiver. Legitimate zero-copy accessors whose
-// ownership contract is documented (MemStore.Set, the RRStore read path)
-// carry an //imvet:allow lockscope annotation with the justification.
+// ownership contract is documented carry an //imvet:allow lockscope
+// annotation with the justification.
 package lockscope
 
 import (

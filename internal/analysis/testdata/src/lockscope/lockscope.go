@@ -44,8 +44,8 @@ func (b *builder) SetsCopy() [][]int {
 	return out
 }
 
-// Peek documents a zero-copy read-only contract, the MemStore.Set idiom;
-// the annotation records the justification where the aliasing happens.
+// Peek documents a zero-copy read-only contract; the annotation records the
+// justification where the aliasing happens.
 func (b *builder) Peek() [][]int {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -128,41 +128,13 @@ func (b *SketchBuilder) Seed() uint64 { return b.seed }
 // writers fingerprint it so a resume against a different graph is caught).
 func (b *SketchBuilder) Graph() *graph.InfluenceGraph { return b.ig }
 
-// Store returns the RR-set store backing the builder (read-only use).
+// Store returns the RR-set store backing the builder (read-only use:
+// ForEach streams its sets).
 func (b *SketchBuilder) Store() RRStore { return b.store }
 
 // StoreStats reports the builder's current storage footprint (resident and
 // spilled bytes).
 func (b *SketchBuilder) StoreStats() StoreStats { return b.store.Stats() }
-
-// SetAt returns RR set i. The slice is owned by the builder's store and must
-// not be modified; it remains valid across later AppendBatch calls for
-// in-memory stores, while a spill store may decode it on demand.
-func (b *SketchBuilder) SetAt(i int) []graph.VertexID { return b.store.Set(i) }
-
-// ForEachSet streams the RR sets with index in [from, to), in order, to fn.
-// The set slices are owned by the store and must not be modified or retained
-// past the callback. This is how checkpoint writers and serializers walk a
-// builder without aliasing its internal state.
-func (b *SketchBuilder) ForEachSet(from, to int, fn func(i int, set []graph.VertexID) error) error {
-	return b.store.ForEach(from, to, fn)
-}
-
-// SetsRange returns the RR sets with index in [from, to) as a freshly
-// allocated slice (the element slices are shared with the store and remain
-// read-only). Unlike the removed Sets() accessor, mutating the returned
-// slice cannot alias builder state.
-func (b *SketchBuilder) SetsRange(from, to int) ([][]graph.VertexID, error) {
-	out := make([][]graph.VertexID, 0, to-from)
-	err := b.store.ForEach(from, to, func(_ int, set []graph.VertexID) error {
-		out = append(out, set)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // AppendBatch generates m more RR sets, at stream indices
 // [NumSets(), NumSets()+m), across the builder's workers, and hands them to
@@ -190,10 +162,10 @@ func (b *SketchBuilder) AppendBatch(m int) error {
 // builder's model and seed. The member index is built by streaming over the
 // store on the builder's workers, so even a disk-backed build never
 // materializes every set on the heap, and the index is the same at every
-// worker count. The oracle snapshots the current prefix: the builder can keep
-// appending afterwards without disturbing it, and a later Oracle call returns
-// a fresh, larger snapshot. Only the oracle's RRSet reads through the
-// store, which must stay open for as long as RRSet is called.
+// worker count. The oracle covers the current prefix and holds only its
+// member index: the builder can keep appending afterwards without disturbing
+// it, a later Oracle call returns a fresh, larger one, and the store may be
+// closed as soon as Oracle returns.
 func (b *SketchBuilder) Oracle() (*Oracle, error) {
 	if b.oracle == nil || b.oracleAt != b.store.NumSets() {
 		o, err := newOracleFromStore(b.ig.NumVertices(), b.model, b.seed, b.store, b.workers)
@@ -277,8 +249,9 @@ type BuildTarget struct {
 	// DefaultMinSets, clamped to MaxSets).
 	MinSets int
 	// MaxBatch caps the sets appended per round (default DefaultMaxBatch).
-	// Spill builds should keep this modest: the in-flight batch lives on the
-	// heap until the store persists it, independent of the store's budget.
+	// The in-flight batch lives on the heap until the store persists it,
+	// independent of a spill store's budget, so a spill build with a bounded
+	// budget caps it lower (sketchio.BuildSpill).
 	MaxBatch int
 	// Progress, when non-nil, runs after every round with the build's
 	// current state — the hook checkpoint writers and job managers attach.

@@ -304,8 +304,14 @@ func BenchmarkCheckMemberIndex(b *testing.B) {
 }
 
 func BenchmarkTransposeStore(b *testing.B) {
+	o, err := baGreedyOracle()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The oracle keeps only its index; transpose it back into a store once.
+	store := NewMemStore(o.transposeIndex())
 	benchmarkIndexPass(b, func(o *Oracle, workers int) error {
-		_, _, err := transposeStore(o.n, o.numSets, o.store, workers)
+		_, _, err := transposeStore(o.n, o.numSets, store, workers)
 		return err
 	})
 }

@@ -30,6 +30,10 @@ import (
 // identical influence estimates. With R RR sets the 99% confidence interval
 // of an estimate is n·F(S) ± 1.29·n/√R.
 //
+// An oracle holds its RR sets only as a vertex→RR-set member index, whatever
+// it was built or loaded from: it keeps no reference to a builder's store, so
+// the sets it was built from can be freed, closed or removed once it exists.
+//
 // The query methods (Influence, MarginalCoverage, GreedySeeds,
 // TopSingleVertices, RankPage) are safe for concurrent use: per-call scratch
 // state lives in pooled buffers or, for covered states, in an idle list that
@@ -44,18 +48,16 @@ type Oracle struct {
 	seed  uint64
 	// offsets and entries are the vertex→RR-set member index in CSR form
 	// (compressed sparse rows): vertex v's RR-set ids are
-	// entries[offsets[v]:offsets[v+1]], strictly ascending. Every query reads
-	// only this index (and the packed matrix derived from it); a sketch
-	// loaded by sketchio.OpenMapped aliases both arrays into the file mapping.
+	// entries[offsets[v]:offsets[v+1]], strictly ascending. It is all the
+	// oracle holds of its RR sets: every query reads only this index (and the
+	// packed matrix derived from it), and a sketch loaded by
+	// sketchio.OpenMapped aliases both arrays into the file mapping.
 	offsets []uint64
 	entries []int32
-	// store holds the RR sets themselves, for RRSet. An oracle built from a
-	// store snapshots numSets at construction; the store may keep growing
-	// underneath (SketchBuilder appends), but indices below numSets are
-	// immutable, so the snapshot stays coherent. An oracle built from a
-	// member index has no store until RRSet first transposes the index.
-	store     RRStore
-	storeOnce sync.Once
+	// sets is the member index transposed back into RR sets, built by the
+	// first RRSet call.
+	sets     [][]graph.VertexID
+	setsOnce sync.Once
 	// shard records this oracle's place in a partitioned fleet (zero value
 	// for whole sketches); it travels with the oracle when serialized.
 	shard ShardLineage
@@ -215,12 +217,12 @@ func NewOracleFromRRSets(n int, model diffusion.Model, seed uint64, rrSets [][]g
 // newOracleFromStore finalizes the RR sets held by store into a queryable
 // oracle: the member index is built by streaming over the store on workers
 // goroutines (NewOracleParallel semantics), so a disk-backed store never has
-// to materialize every set on the heap at once. The oracle snapshots the
-// store's current size; appending to the store afterwards (a SketchBuilder
-// growing past an ErrorBound check) does not disturb it. Every vertex id is
+// to materialize every set on the heap at once. The oracle covers the
+// store's current sets and keeps no reference to the store, so appending to
+// it afterwards (a SketchBuilder growing past an ErrorBound check), closing
+// it or dropping it leaves the oracle untouched. Every vertex id is
 // validated against [0, n) during the streaming pass — stores may be
-// rehydrated from untrusted files. Only RRSet reads through the store after
-// construction, so the store must stay open for as long as RRSet is called.
+// rehydrated from untrusted files.
 func newOracleFromStore(n int, model diffusion.Model, seed uint64, store RRStore, workers int) (*Oracle, error) {
 	if n < 1 {
 		return nil, ErrEmptyGraph
@@ -230,12 +232,7 @@ func newOracleFromStore(n int, model diffusion.Model, seed uint64, store RRStore
 	if err != nil {
 		return nil, err
 	}
-	o, err := newOracleFromMemberIndex(n, model, seed, numSets, offsets, entries, workers)
-	if err != nil {
-		return nil, err
-	}
-	o.store = store
-	return o, nil
+	return newOracleFromMemberIndex(n, model, seed, numSets, offsets, entries, workers)
 }
 
 // NewOracleFromMemberIndex wraps a CSR member index — vertex v's RR-set ids
@@ -474,19 +471,13 @@ func (o *Oracle) Model() diffusion.Model { return o.model }
 // (NewOracleParallelSeeded or a loaded sketch); otherwise 0.
 func (o *Oracle) BuildSeed() uint64 { return o.seed }
 
-// RRSet returns the vertices of RR set i. The returned slice is owned by the
-// oracle and must not be modified. An oracle built from a store reads
-// through it (a spill-backed store may decode the set on demand, so prefer
-// ascending-index access for sequential scans). An oracle built from a member
-// index transposes the whole index onto the heap on the first call, and its
-// sets list their vertices in ascending order.
+// RRSet returns the vertices of RR set i in ascending order. The oracle
+// holds only its member index, so the first call transposes the whole index
+// back into RR sets on the heap, and later calls read that copy. The returned
+// slice is owned by the oracle and must not be modified.
 func (o *Oracle) RRSet(i int) []graph.VertexID {
-	o.storeOnce.Do(func() {
-		if o.store == nil {
-			o.store = NewMemStore(o.transposeIndex())
-		}
-	})
-	return o.store.Set(i)
+	o.setsOnce.Do(func() { o.sets = o.transposeIndex() })
+	return o.sets[i]
 }
 
 // transposeIndex rebuilds the RR sets from the member index.

@@ -7,38 +7,38 @@ import (
 	"imdist/internal/graph"
 )
 
-// RRStore abstracts where a sketch's RR sets live while it is being built and
-// queried. The Oracle and SketchBuilder run entirely off store reads, so the
-// same build and query code serves both the classic in-memory store (MemStore)
-// and a spill-to-disk store that keeps only a bounded working set of decoded
-// segments resident (internal/sketchio's SpillStore) — the refactor that lets
-// a sketch far larger than RAM build within a fixed memory budget.
+// RRStore is where a sketch's RR sets live while it is being built. A
+// SketchBuilder appends to it and streams over it; the Oracle it finalizes
+// reads the store once, to build its member index, and keeps only that index.
+// No oracle reads a store after construction. The same build code therefore
+// serves both the in-memory store (MemStore) and a spill-to-disk store that
+// keeps only a bounded working set of decoded segments resident
+// (internal/sketchio's SpillStore), which lets a sketch far larger than RAM
+// build within a fixed memory budget.
 //
 // Contract:
 //
-//   - Sets are append-only and immutable: once Append returns, Set(i) for any
-//     existing i returns the same vertices forever. This is what lets an
-//     Oracle snapshot a prefix while the builder keeps appending.
-//   - Set and ForEach must be safe for concurrent use with each other and
-//     with one concurrent Append (an Oracle serves queries while a build
-//     appends past its snapshot).
-//   - Slices returned by Set/ForEach are owned by the store and must not be
+//   - Sets are append-only and immutable: once Append returns, ForEach hands
+//     out the same vertices for every existing index forever. This is what
+//     lets a builder finalize an oracle over a prefix and keep appending.
+//   - ForEach must be safe for concurrent use with itself and with one
+//     concurrent Append (the member-index transpose scans set ranges on
+//     several workers).
+//   - Slices handed out by ForEach are owned by the store and must not be
 //     modified; a spill store may hand out cached buffers it later drops, but
 //     never mutates in place.
 //   - Append takes ownership of the batch and its element slices.
 type RRStore interface {
 	// NumSets returns the number of RR sets the store holds.
 	NumSets() int
-	// Set returns RR set i, 0 <= i < NumSets(). Read-only.
-	Set(i int) []graph.VertexID
 	// Append adds a batch of RR sets after the existing ones, taking
 	// ownership of batch. A store backed by durable media persists the batch
 	// before returning.
 	Append(batch [][]graph.VertexID) error
 	// ForEach calls fn for every set index in [from, to) in ascending order,
-	// stopping at the first error and returning it. It is the streaming read
-	// path: a spill store decodes each segment once, in file order, without
-	// polluting its cache.
+	// stopping at the first error and returning it. It is the only read path:
+	// a spill store decodes each non-resident segment once, in file order,
+	// without entering it into its working set.
 	ForEach(from, to int, fn func(i int, set []graph.VertexID) error) error
 	// Stats reports the store's current footprint.
 	Stats() StoreStats
@@ -68,9 +68,8 @@ type StoreStats struct {
 // header plus 4 bytes per vertex.
 func setBytes(set []graph.VertexID) int64 { return 24 + 4*int64(len(set)) }
 
-// MemStore is the in-memory RRStore: a plain [][]VertexID, the storage the
-// builder and oracle used before the store refactor. Appends are O(1)
-// amortized and reads are direct slice indexing.
+// MemStore is the in-memory RRStore: a plain [][]VertexID. Appends are O(1)
+// amortized and ForEach walks the slice directly.
 type MemStore struct {
 	mu      sync.RWMutex
 	sets    [][]graph.VertexID
@@ -94,17 +93,6 @@ func (s *MemStore) NumSets() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.sets)
-}
-
-// Set returns RR set i. The slice is owned by the store; do not modify it.
-func (s *MemStore) Set(i int) []graph.VertexID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	// The RRStore contract (above) makes this zero-copy read safe: sets are
-	// append-only and immutable once Append returns, and callers are bound
-	// to read-only use. Copying here would put an allocation on the hottest
-	// query path for nothing.
-	return s.sets[i] //imvet:allow lockscope — RRStore contract: sets are immutable, callers read-only
 }
 
 // Append adds batch after the existing sets, taking ownership.

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"imdist/internal/diffusion"
 	"imdist/internal/graph"
@@ -24,16 +26,12 @@ func TestMemStoreBasics(t *testing.T) {
 	if s.NumSets() != 3 {
 		t.Fatalf("store holds %d sets, want 3", s.NumSets())
 	}
-	if got := s.Set(2); !reflect.DeepEqual(got, []graph.VertexID{4, 5, 6}) {
-		t.Errorf("Set(2) = %v", got)
-	}
 
 	var walked []int
+	var walkedSets [][]graph.VertexID
 	err := s.ForEach(1, 3, func(i int, set []graph.VertexID) error {
 		walked = append(walked, i)
-		if len(set) == 0 {
-			t.Errorf("empty set at %d", i)
-		}
+		walkedSets = append(walkedSets, set)
 		return nil
 	})
 	if err != nil {
@@ -41,6 +39,9 @@ func TestMemStoreBasics(t *testing.T) {
 	}
 	if !reflect.DeepEqual(walked, []int{1, 2}) {
 		t.Errorf("ForEach visited %v, want [1 2]", walked)
+	}
+	if want := [][]graph.VertexID{{3}, {4, 5, 6}}; !reflect.DeepEqual(walkedSets, want) {
+		t.Errorf("ForEach(1, 3) sets = %v, want %v", walkedSets, want)
 	}
 	if err := s.ForEach(0, 4, func(int, []graph.VertexID) error { return nil }); err == nil {
 		t.Error("out-of-range ForEach accepted")
@@ -79,7 +80,6 @@ func TestMemStoreConcurrentReadsWithAppend(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
-			_ = s.Set(i % 3)
 			_ = s.NumSets()
 			_ = s.Stats()
 			_ = s.ForEach(0, 3, func(_ int, set []graph.VertexID) error {
@@ -124,30 +124,6 @@ func TestBuilderFromStoreResumes(t *testing.T) {
 	}
 }
 
-// TestSetsRangeDoesNotAliasBuilder is the regression test for the old Sets()
-// accessor handing out the builder's internal slice: mutating what SetsRange
-// returns must leave the builder's own sets untouched.
-func TestSetsRangeDoesNotAliasBuilder(t *testing.T) {
-	b := mustBuilder(t, karateIWC(t), 1, 3)
-	if err := b.AppendBatch(50); err != nil {
-		t.Fatal(err)
-	}
-	before := b.SetAt(7)
-	snapshot := append([]graph.VertexID(nil), before...)
-
-	got, err := b.SetsRange(0, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got[7] = []graph.VertexID{99, 99, 99} // clobber the caller's copy
-	if !reflect.DeepEqual(b.SetAt(7), snapshot) {
-		t.Error("mutating SetsRange result changed the builder's set")
-	}
-	if _, err := b.SetsRange(0, 51); err == nil {
-		t.Error("out-of-range SetsRange accepted")
-	}
-}
-
 // TestOracleSnapshotSurvivesAppends: an oracle finalized mid-build answers
 // from its prefix while the builder appends past it through the shared store.
 func TestOracleSnapshotSurvivesAppends(t *testing.T) {
@@ -188,4 +164,58 @@ func TestOracleSnapshotSurvivesAppends(t *testing.T) {
 	if o2.NumSets() != 1600 || o2.PayloadBytes() <= payload {
 		t.Errorf("refreshed oracle: sets=%d payload=%d (was %d)", o2.NumSets(), o2.PayloadBytes(), payload)
 	}
+}
+
+// TestOracleDoesNotPinItsStore shows that an oracle holds only its member
+// index: the MemStore handed to newOracleFromStore, and a builder's store
+// once the builder is dropped, are collected while the oracle stays
+// reachable and keeps answering.
+func TestOracleDoesNotPinItsStore(t *testing.T) {
+	ig := karateIWC(t)
+	fromStore, handed := oracleOverWeakStore(t, ig)
+	fromBuilder, built := builderOracleOverWeakStore(t, ig)
+	runtime.GC()
+	runtime.GC()
+	if handed.Value() != nil {
+		t.Error("the store handed to newOracleFromStore is still reachable through its oracle")
+	}
+	if built.Value() != nil {
+		t.Error("a dropped builder's store is still reachable through its oracle")
+	}
+	for _, o := range []*Oracle{fromStore, fromBuilder} {
+		if got, err := o.Coverage([]graph.VertexID{0}); err != nil || got == 0 {
+			t.Errorf("oracle coverage of vertex 0 = %d, %v after its store was collected", got, err)
+		}
+	}
+}
+
+// oracleOverWeakStore builds an oracle from a MemStore that nothing but the
+// oracle could keep alive once this returns.
+func oracleOverWeakStore(t *testing.T, ig *graph.InfluenceGraph) (*Oracle, weak.Pointer[MemStore]) {
+	t.Helper()
+	b := mustBuilder(t, ig, 2, 3)
+	if err := b.AppendBatch(2000); err != nil {
+		t.Fatal(err)
+	}
+	store := NewMemStore(builderSets(t, b))
+	o, err := newOracleFromStore(ig.NumVertices(), diffusion.IC, 3, store, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o, weak.Make(store)
+}
+
+// builderOracleOverWeakStore finalizes a builder's oracle and drops the
+// builder, leaving the oracle the only possible owner of the builder's store.
+func builderOracleOverWeakStore(t *testing.T, ig *graph.InfluenceGraph) (*Oracle, weak.Pointer[MemStore]) {
+	t.Helper()
+	b := mustBuilder(t, ig, 2, 5)
+	if err := b.AppendBatch(2000); err != nil {
+		t.Fatal(err)
+	}
+	o, err := b.Oracle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o, weak.Make(b.Store().(*MemStore))
 }

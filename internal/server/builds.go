@@ -88,8 +88,8 @@ type buildRequest struct {
 	// Spill streams every generated batch to a spill file next to Out
 	// (<out>.spill) instead of holding all RR sets on the heap, bounding the
 	// build's memory by MemBudgetBytes. Requires Out. The finished sketch is
-	// byte-identical to an in-memory build; the spill file is removed after
-	// the sketch is written.
+	// byte-identical to an in-memory build; the spill file is removed once
+	// the member index is built, before the sketch is written.
 	Spill bool `json:"spill,omitempty"`
 	// MemBudgetBytes bounds the spill working set (0 = the 64 MiB default).
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
@@ -452,38 +452,7 @@ func (m *buildManager) executeBuild(ctx context.Context, job *buildJob) error {
 			return nil
 		},
 	}
-	var builder *core.SketchBuilder
-	if req.Spill {
-		// The spill file lives next to the final sketch and is the build's
-		// primary storage; a previous run's file is not resumed (a submitted
-		// job is a fresh build), so clear it first.
-		spillPath := req.Out + ".spill"
-		if err := os.Remove(spillPath); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		b, store, _, err := sketchio.BuildSpill(ctx, spillPath, ig, model, req.Workers, req.Seed, req.MemBudgetBytes, target)
-		if store != nil {
-			// The oracle below reads through the store, so it closes only
-			// after the sketch file is written; then the spill file goes too.
-			defer func() {
-				_ = store.Close()
-				os.Remove(spillPath)
-			}()
-		}
-		if err != nil {
-			return err
-		}
-		builder = b
-	} else {
-		builder, err = core.NewSketchBuilder(ig, model, req.Workers, req.Seed)
-		if err != nil {
-			return err
-		}
-		if _, err := builder.BuildToTarget(ctx, target); err != nil {
-			return err
-		}
-	}
-	oracle, err := builder.Oracle()
+	oracle, err := buildOracle(ctx, req, ig, model, target)
 	if err != nil {
 		return err
 	}
@@ -512,6 +481,40 @@ func (m *buildManager) executeBuild(ctx context.Context, job *buildJob) error {
 		}
 	}
 	return nil
+}
+
+// buildOracle runs the build a request describes and finalizes its oracle.
+// A spill build's file lives next to the final sketch and is the build's
+// storage; a previous run's file is not resumed (a submitted job is a fresh
+// build), so it is cleared first. The oracle holds only its member index, so
+// the file is closed and removed as soon as the index is built, before the
+// sketch is written or served.
+func buildOracle(ctx context.Context, req buildRequest, ig *graph.InfluenceGraph, model diffusion.Model, target core.BuildTarget) (*core.Oracle, error) {
+	if !req.Spill {
+		b, err := core.NewSketchBuilder(ig, model, req.Workers, req.Seed)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := b.BuildToTarget(ctx, target); err != nil {
+			return nil, err
+		}
+		return b.Oracle()
+	}
+	spillPath := req.Out + ".spill"
+	if err := os.Remove(spillPath); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	b, store, _, err := sketchio.BuildSpill(ctx, spillPath, ig, model, req.Workers, req.Seed, req.MemBudgetBytes, target)
+	if store != nil {
+		defer func() {
+			_ = store.Close()
+			os.Remove(spillPath)
+		}()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return b.Oracle()
 }
 
 // loadBuildGraph materializes the influence graph a build request names.

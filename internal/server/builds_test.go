@@ -196,7 +196,8 @@ func TestAsyncSpillBuildServesSketch(t *testing.T) {
 	if !bytes.Equal(memBytes, spillBytes) {
 		t.Error("spill-built sketch differs from in-memory build")
 	}
-	// The spill scratch file is gone once the sketch is durable.
+	// The spill scratch file is gone: it is removed as soon as the member
+	// index is built.
 	if _, err := os.Stat(spillOut + ".spill"); !os.IsNotExist(err) {
 		t.Errorf("spill file still present after build: stat err = %v", err)
 	}

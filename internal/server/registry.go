@@ -209,17 +209,6 @@ func (r *Registry) Unload(name string) error {
 	return nil
 }
 
-// UnloadAll removes every sketch (shutdown path).
-func (r *Registry) UnloadAll() {
-	r.mu.Lock()
-	old := r.entries
-	r.entries = make(map[string]*sketchEntry)
-	r.mu.Unlock()
-	for _, e := range old {
-		e.retire()
-	}
-}
-
 // SetDefault names the sketch legacy unnamed routes alias. The name does
 // not need to be loaded yet (imserve sets the default before its first
 // directory scan); unnamed routes 404 until it is.

@@ -2,14 +2,12 @@ package sketchio
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 
 	"imdist/internal/core"
 	"imdist/internal/diffusion"
@@ -47,9 +45,11 @@ import (
 // Because a builder's RR-set sequence is pinned by (seed, index), a
 // checkpoint only has to persist a prefix of that sequence: a torn final
 // segment (crash mid-append) is simply truncated away on the next
-// OpenCheckpoint and its sets are regenerated — deterministically identical —
-// by the resumed build. Finished sketches are written as version 3 files
-// (see the package documentation).
+// OpenSpillStore and its sets are regenerated — deterministically identical —
+// by the resumed build. SpillStore is the only code that appends to a
+// checkpoint file; WriteCheckpoint streams a one-segment snapshot to any
+// writer. Finished sketches are written as version 3 files (see the package
+// documentation).
 
 // CheckpointVersion is the on-disk version of the append-only checkpoint
 // format.
@@ -113,13 +113,6 @@ func GraphFingerprint(ig *graph.InfluenceGraph) uint64 {
 // checkpointMetaFor derives the full checkpoint identity of a build.
 func checkpointMetaFor(ig *graph.InfluenceGraph, model diffusion.Model, seed uint64) CheckpointMeta {
 	return CheckpointMeta{Model: model, Seed: seed, N: ig.NumVertices(), GraphHash: GraphFingerprint(ig)}
-}
-
-// BuildCheckpointMeta derives the checkpoint identity of a build over ig with
-// the given model and seed — the metadata OpenSpillStore and OpenCheckpoint
-// verify a resumed file against.
-func BuildCheckpointMeta(ig *graph.InfluenceGraph, model diffusion.Model, seed uint64) CheckpointMeta {
-	return checkpointMetaFor(ig, model, seed)
 }
 
 func (m CheckpointMeta) validate() error {
@@ -243,14 +236,14 @@ func readSegment(br *bufio.Reader, n, totalSoFar int, arena *vertexArena) (sets 
 
 // writeSegment appends one CRC-framed segment holding sets to w.
 func writeSegment(w io.Writer, sets [][]graph.VertexID) error {
-	return writeSegmentFunc(w, len(sets), recordsLen(sets), func(i int) []graph.VertexID { return sets[i] })
+	return writeSegmentFunc(w, len(sets), recordsLen(sets), eachSet(sets))
 }
 
-// writeSegmentFunc appends one CRC-framed segment of count records, obtained
-// from get, to w. payload must be the exact encoded size of the records —
-// callers that track it incrementally (the builder's store stats) avoid a
-// sizing pass over data that may live on disk.
-func writeSegmentFunc(w io.Writer, count int, payload uint64, get func(int) []graph.VertexID) error {
+// writeSegmentFunc appends one CRC-framed segment of count records, streamed
+// in order by each, to w. payload must be the exact encoded size of the
+// records — callers that track it incrementally (the builder's store stats)
+// avoid a sizing pass over data that may live on disk.
+func writeSegmentFunc(w io.Writer, count int, payload uint64, each setIter) error {
 	hdr := make([]byte, segHeaderLen)
 	copy(hdr, segMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(count))
@@ -260,7 +253,7 @@ func writeSegmentFunc(w io.Writer, count int, payload uint64, get func(int) []gr
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	if err := writeRecords(bw, count, get); err != nil {
+	if err := writeRecords(bw, each); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -274,7 +267,7 @@ func writeSegmentFunc(w io.Writer, count int, payload uint64, get func(int) []gr
 
 // WriteCheckpoint streams a complete snapshot checkpoint of b — header plus
 // one segment holding every set generated so far — to w. For an append-only
-// on-disk checkpoint that grows with the build, use OpenCheckpoint instead.
+// on-disk checkpoint that grows with the build, use BuildSpill instead.
 func WriteCheckpoint(w io.Writer, b *core.SketchBuilder) error {
 	if b == nil {
 		return errors.New("sketchio: nil builder")
@@ -283,13 +276,15 @@ func WriteCheckpoint(w io.Writer, b *core.SketchBuilder) error {
 	if _, err := w.Write(encodeCheckpointHeader(meta)); err != nil {
 		return err
 	}
-	count := b.NumSets()
-	if count == 0 {
+	st := b.StoreStats()
+	if st.Sets == 0 {
 		return nil
 	}
 	// Stream straight out of the builder's store — no [][]VertexID snapshot,
 	// so a disk-backed build checkpoints without materializing its sets.
-	return writeSegmentFunc(w, count, uint64(b.StoreStats().PayloadBytes), b.SetAt)
+	return writeSegmentFunc(w, st.Sets, uint64(st.PayloadBytes), func(fn func(int, []graph.VertexID) error) error {
+		return b.Store().ForEach(0, st.Sets, fn)
+	})
 }
 
 // ReadCheckpoint strictly decodes a checkpoint stream: metadata plus the
@@ -297,7 +292,7 @@ func WriteCheckpoint(w io.Writer, b *core.SketchBuilder) error {
 // sets' backing storage carved from a shared arena (one large allocation per
 // ~4 MiB of payload rather than one per record). Any damage — a torn final
 // segment included — is an error; crash recovery by truncation is
-// OpenCheckpoint's job, where the file can actually be repaired.
+// OpenSpillStore's job, where the file can actually be repaired.
 func ReadCheckpoint(r io.Reader) (CheckpointMeta, [][]graph.VertexID, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	hdr := make([]byte, headerLen)
@@ -345,167 +340,4 @@ func ResumeBuilder(r io.Reader, ig *graph.InfluenceGraph, workers int) (*core.Sk
 	// through the trusted store constructor: one decode pass total, no second
 	// validation sweep over the materialized sets.
 	return core.NewSketchBuilderFromStore(ig, meta.Model, workers, meta.Seed, core.NewMemStore(sets))
-}
-
-// Checkpointer appends build progress to an on-disk checkpoint file. It is
-// not safe for concurrent use; a build has one writer.
-type Checkpointer struct {
-	f    *os.File
-	meta CheckpointMeta
-	sets int
-	err  error // sticky: a failed append leaves an untrusted tail
-}
-
-// OpenCheckpoint opens (or creates) the append-only checkpoint file at path
-// for the build identified by meta and returns the RR sets it already holds.
-//
-// A fresh file gets the v2 header. An existing file must carry the same
-// metadata (ErrCheckpointMeta otherwise — resuming a different build's
-// checkpoint would splice two unrelated RR-set sequences). If the file ends
-// in a torn or corrupt segment — a crash mid-append — everything from the
-// first bad byte on is truncated away: the surviving prefix is exactly a
-// shorter checkpoint of the same deterministic sequence, and the resumed
-// build regenerates the lost sets identically.
-func OpenCheckpoint(path string, meta CheckpointMeta) (*Checkpointer, [][]graph.VertexID, error) {
-	if err := meta.validate(); err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, nil, err
-	}
-	if st.Size() == 0 {
-		if _, err := f.Write(encodeCheckpointHeader(meta)); err != nil {
-			_ = f.Close()
-			return nil, nil, err
-		}
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return nil, nil, err
-		}
-		return &Checkpointer{f: f, meta: meta}, nil, nil
-	}
-
-	br := bufio.NewReaderSize(f, 1<<16)
-	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		_ = f.Close()
-		return nil, nil, readErr(err)
-	}
-	got, err := parseCheckpointHeader(hdr)
-	if err != nil {
-		_ = f.Close()
-		return nil, nil, err
-	}
-	if got != meta {
-		_ = f.Close()
-		return nil, nil, fmt.Errorf("%w: file records model=%v seed=%d n=%d graph=%016x, build is model=%v seed=%d n=%d graph=%016x",
-			ErrCheckpointMeta, got.Model, got.Seed, got.N, got.GraphHash, meta.Model, meta.Seed, meta.N, meta.GraphHash)
-	}
-	var sets [][]graph.VertexID
-	arena := &vertexArena{}
-	off := int64(headerLen)
-	for {
-		segSets, _, size, _, err := readSegment(br, meta.N, len(sets), arena)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Torn or corrupt tail: drop it. The prefix up to off is intact
-			// (every earlier segment passed its CRC), and the deterministic
-			// build regenerates whatever was lost.
-			if terr := f.Truncate(off); terr != nil {
-				_ = f.Close()
-				return nil, nil, terr
-			}
-			break
-		}
-		sets = append(sets, segSets...)
-		off += size
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, nil, err
-	}
-	return &Checkpointer{f: f, meta: meta, sets: len(sets)}, sets, nil
-}
-
-// NumSets returns the number of RR sets the file durably holds.
-func (c *Checkpointer) NumSets() int { return c.sets }
-
-// Append durably appends sets as one segment (written, then fsynced).
-// Appending no sets is a no-op. After a failed append the Checkpointer
-// refuses further writes — the file tail is untrusted — but the file itself
-// remains resumable: the next OpenCheckpoint truncates the damage away.
-func (c *Checkpointer) Append(sets [][]graph.VertexID) error {
-	if c.err != nil {
-		return c.err
-	}
-	if len(sets) == 0 {
-		return nil
-	}
-	if err := writeSegment(c.f, sets); err != nil {
-		c.err = fmt.Errorf("sketchio: checkpoint append failed, further appends disabled: %w", err)
-		return err
-	}
-	if err := c.f.Sync(); err != nil {
-		c.err = fmt.Errorf("sketchio: checkpoint sync failed, further appends disabled: %w", err)
-		return err
-	}
-	c.sets += len(sets)
-	return nil
-}
-
-// Close closes the underlying file; the checkpoint remains on disk for a
-// later resume.
-func (c *Checkpointer) Close() error { return c.f.Close() }
-
-// BuildWithCheckpoint runs a checkpointed adaptive build end to end: it opens
-// (or resumes) the checkpoint at path, reconstructs the builder from the sets
-// already on disk, and runs BuildToTarget with a progress hook that appends
-// each round's new sets as one durable segment before handing control to
-// target.Progress. On any exit — success, cancellation, append failure — the
-// checkpoint holds a clean prefix of the build, so the same call with the
-// same arguments continues where it left off.
-//
-// The returned builder allows the caller to finalize (builder.Oracle) or
-// inspect the build regardless of how it ended.
-func BuildWithCheckpoint(ctx context.Context, path string, ig *graph.InfluenceGraph, model diffusion.Model, workers int, seed uint64, target core.BuildTarget) (*core.SketchBuilder, core.BuildResult, error) {
-	if ig == nil || ig.NumVertices() == 0 {
-		return nil, core.BuildResult{}, core.ErrEmptyGraph
-	}
-	meta := checkpointMetaFor(ig, model, seed)
-	cp, sets, err := OpenCheckpoint(path, meta)
-	if err != nil {
-		return nil, core.BuildResult{}, err
-	}
-	defer cp.Close()
-	// OpenCheckpoint validated the sets while decoding them; trust the store.
-	b, err := core.NewSketchBuilderFromStore(ig, model, workers, seed, core.NewMemStore(sets))
-	if err != nil {
-		return nil, core.BuildResult{}, err
-	}
-	durable := b.NumSets()
-	userProgress := target.Progress
-	target.Progress = func(p core.BuildProgress) error {
-		fresh, err := b.SetsRange(durable, p.Sets)
-		if err != nil {
-			return err
-		}
-		if err := cp.Append(fresh); err != nil {
-			return err
-		}
-		durable = p.Sets
-		if userProgress != nil {
-			return userProgress(p)
-		}
-		return nil
-	}
-	res, err := b.BuildToTarget(ctx, target)
-	return b, res, err
 }

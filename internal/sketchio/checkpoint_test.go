@@ -43,12 +43,21 @@ func appendSets(t testing.TB, b *core.SketchBuilder, m int) {
 	}
 }
 
-// setsRange snapshots the builder's RR sets in [from, to) via the store-backed
-// accessor (the old Sets() slice view is gone).
+// setsRange snapshots the builder's RR sets in [from, to) by streaming its
+// store.
 func setsRange(t testing.TB, b *core.SketchBuilder, from, to int) [][]graph.VertexID {
 	t.Helper()
-	sets, err := b.SetsRange(from, to)
-	if err != nil {
+	return storeSets(t, b.Store(), from, to)
+}
+
+// storeSets snapshots a store's RR sets in [from, to) through ForEach.
+func storeSets(t testing.TB, s core.RRStore, from, to int) [][]graph.VertexID {
+	t.Helper()
+	sets := make([][]graph.VertexID, 0, to-from)
+	if err := s.ForEach(from, to, func(_ int, set []graph.VertexID) error {
+		sets = append(sets, set)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return sets
@@ -170,7 +179,7 @@ func TestResumeBuilderRejectsDifferentProbabilities(t *testing.T) {
 	if err := os.WriteFile(path, ckpt.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenCheckpoint(path, checkpointMetaFor(uc, diffusion.IC, 7)); !errors.Is(err, ErrCheckpointMeta) {
+	if _, err := OpenSpillStore(path, checkpointMetaFor(uc, diffusion.IC, 7), -1); !errors.Is(err, ErrCheckpointMeta) {
 		t.Errorf("different-prob open: err = %v, want ErrCheckpointMeta", err)
 	}
 }
@@ -209,55 +218,56 @@ func mustSmallOracle(t testing.TB) *core.Oracle {
 	return o
 }
 
-// TestOpenCheckpointAppendResume exercises the on-disk append-only file:
-// segments accumulate across Append calls, a reopen returns exactly the
-// durable sets, and a mismatched build identity is refused.
+// TestOpenCheckpointAppendResume exercises the on-disk append-only file
+// through an unbounded SpillStore, the checkpoint writer: segments accumulate
+// across Append calls, a reopen holds exactly the durable sets, and a
+// mismatched build identity is refused.
 func TestOpenCheckpointAppendResume(t *testing.T) {
 	ig := karateGraph(t)
 	path := filepath.Join(t.TempDir(), "build.ckpt")
 	meta := checkpointMetaFor(ig, diffusion.IC, 17)
 
-	cp, sets, err := OpenCheckpoint(path, meta)
+	s, err := OpenSpillStore(path, meta, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sets) != 0 || cp.NumSets() != 0 {
-		t.Fatalf("fresh checkpoint holds %d sets", len(sets))
+	if s.NumSets() != 0 {
+		t.Fatalf("fresh checkpoint holds %d sets", s.NumSets())
 	}
 	b := mustBuilder(t, ig, 2, 17)
 	appendSets(t, b, 700)
-	if err := cp.Append(setsRange(t, b, 0, 700)); err != nil {
+	if err := s.Append(setsRange(t, b, 0, 700)); err != nil {
 		t.Fatal(err)
 	}
 	appendSets(t, b, 300)
-	if err := cp.Append(setsRange(t, b, 700, 1000)); err != nil {
+	if err := s.Append(setsRange(t, b, 700, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Append(nil); err != nil { // no-op segment
+	if err := s.Append(nil); err != nil { // no-op segment
 		t.Fatal(err)
 	}
-	if cp.NumSets() != 1000 {
-		t.Fatalf("checkpointer reports %d sets, want 1000", cp.NumSets())
+	if s.NumSets() != 1000 {
+		t.Fatalf("store reports %d sets, want 1000", s.NumSets())
 	}
-	if err := cp.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	cp2, sets2, err := OpenCheckpoint(path, meta)
+	s2, err := OpenSpillStore(path, meta, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cp2.Close()
-	if cp2.NumSets() != 1000 {
-		t.Fatalf("reopened checkpoint reports %d sets, want 1000", cp2.NumSets())
+	defer s2.Close()
+	if s2.NumSets() != 1000 || len(s2.segs) != 2 {
+		t.Fatalf("reopened checkpoint reports %d sets in %d segments, want 1000 in 2", s2.NumSets(), len(s2.segs))
 	}
-	if !reflect.DeepEqual(sets2, setsRange(t, b, 0, 1000)) {
+	if !reflect.DeepEqual(storeSets(t, s2, 0, 1000), setsRange(t, b, 0, 1000)) {
 		t.Error("reopened checkpoint sets differ from the builder's")
 	}
 
 	wrong := meta
 	wrong.Seed = 18
-	if _, _, err := OpenCheckpoint(path, wrong); !errors.Is(err, ErrCheckpointMeta) {
+	if _, err := OpenSpillStore(path, wrong, -1); !errors.Is(err, ErrCheckpointMeta) {
 		t.Errorf("mismatched meta: err = %v, want ErrCheckpointMeta", err)
 	}
 }
@@ -269,16 +279,16 @@ func TestOpenCheckpointTruncatesTornTail(t *testing.T) {
 	ig := karateGraph(t)
 	path := filepath.Join(t.TempDir(), "build.ckpt")
 	meta := checkpointMetaFor(ig, diffusion.IC, 23)
-	cp, _, err := OpenCheckpoint(path, meta)
+	s, err := OpenSpillStore(path, meta, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := mustBuilder(t, ig, 1, 23)
 	appendSets(t, b, 400)
-	if err := cp.Append(setsRange(t, b, 0, 250)); err != nil {
+	if err := s.Append(setsRange(t, b, 0, 250)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	goodSize := fileSize(t, path)
@@ -298,29 +308,30 @@ func TestOpenCheckpointTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cp2, sets, err := OpenCheckpoint(path, meta)
+	s2, err := OpenSpillStore(path, meta, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp2.NumSets() != 250 || len(sets) != 250 {
-		t.Fatalf("torn-tail recovery kept %d sets, want 250", cp2.NumSets())
+	if s2.NumSets() != 250 || len(storeSets(t, s2, 0, s2.NumSets())) != 250 {
+		t.Fatalf("torn-tail recovery kept %d sets, want 250", s2.NumSets())
 	}
 	if got := fileSize(t, path); got != goodSize {
 		t.Errorf("file size after recovery = %d, want %d (torn tail truncated)", got, goodSize)
 	}
 	// The recovered file must accept appends again and line up with the
 	// deterministic sequence.
-	if err := cp2.Append(setsRange(t, b, 250, 400)); err != nil {
+	if err := s2.Append(setsRange(t, b, 250, 400)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp2.Close(); err != nil {
+	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, sets3, err := OpenCheckpoint(path, meta)
+	s3, err := OpenSpillStore(path, meta, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sets3, setsRange(t, b, 0, 400)) {
+	defer s3.Close()
+	if !reflect.DeepEqual(storeSets(t, s3, 0, s3.NumSets()), setsRange(t, b, 0, 400)) {
 		t.Error("post-recovery appended checkpoint differs from builder sequence")
 	}
 }
@@ -334,9 +345,10 @@ func fileSize(t testing.TB, path string) int64 {
 	return st.Size()
 }
 
-// TestBuildWithCheckpointResumes runs the full helper twice: the first run is
-// cancelled partway, the second continues from the checkpoint to the cap, and
-// the result must be byte-identical to the one-shot build of the same total.
+// TestBuildWithCheckpointResumes runs an unbounded BuildSpill — a
+// checkpointed in-memory build — twice: the first run is cancelled partway,
+// the second continues from the checkpoint to the cap, and the result must be
+// byte-identical to the one-shot build of the same total.
 func TestBuildWithCheckpointResumes(t *testing.T) {
 	ig := karateGraph(t)
 	path := filepath.Join(t.TempDir(), "karate.ckpt")
@@ -344,7 +356,7 @@ func TestBuildWithCheckpointResumes(t *testing.T) {
 	const total = 6000
 
 	ctx, cancel := context.WithCancel(context.Background())
-	_, _, err := BuildWithCheckpoint(ctx, path, ig, diffusion.IC, 2, seed, core.BuildTarget{
+	_, store, _, err := BuildSpill(ctx, path, ig, diffusion.IC, 2, seed, -1, core.BuildTarget{
 		MaxSets: total,
 		MinSets: 512,
 		Progress: func(p core.BuildProgress) error {
@@ -357,18 +369,25 @@ func TestBuildWithCheckpointResumes(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("first run: err = %v, want context.Canceled", err)
 	}
-	_, durable, err := OpenCheckpoint(path, checkpointMetaFor(ig, diffusion.IC, seed))
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	durable, err := OpenSpillStore(path, checkpointMetaFor(ig, diffusion.IC, seed), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(durable) == 0 {
+	if durable.NumSets() == 0 {
 		t.Fatal("cancelled run left no durable progress")
 	}
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	b, res, err := BuildWithCheckpoint(context.Background(), path, ig, diffusion.IC, 4, seed, core.BuildTarget{MaxSets: total})
+	b, store, res, err := BuildSpill(context.Background(), path, ig, diffusion.IC, 4, seed, -1, core.BuildTarget{MaxSets: total})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 	if res.Sets != total {
 		t.Fatalf("resumed run finished at %d sets, want %d", res.Sets, total)
 	}
@@ -431,19 +450,21 @@ func TestInspectV1AndV2(t *testing.T) {
 	// v2 checkpoint with two segments.
 	ig := karateGraph(t)
 	ckptPath := filepath.Join(dir, "k.ckpt")
-	cp, _, err := OpenCheckpoint(ckptPath, checkpointMetaFor(ig, diffusion.IC, 3))
+	s, err := OpenSpillStore(ckptPath, checkpointMetaFor(ig, diffusion.IC, 3), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := mustBuilder(t, ig, 1, 3)
 	appendSets(t, b, 60)
-	if err := cp.Append(setsRange(t, b, 0, 40)); err != nil {
+	if err := s.Append(setsRange(t, b, 0, 40)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.Append(setsRange(t, b, 40, b.NumSets())); err != nil {
+	if err := s.Append(setsRange(t, b, 40, b.NumSets())); err != nil {
 		t.Fatal(err)
 	}
-	cp.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	info, err := Inspect(ckptPath)
 	if err != nil {
 		t.Fatal(err)

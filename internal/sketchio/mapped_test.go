@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -17,6 +18,38 @@ func writeSketchFile(t *testing.T, raw []byte) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestBuiltAndLoadedRRSetsMatch: an oracle a builder finalized and the same
+// sketch loaded back from its file hold only their member indexes, so RRSet
+// transposes each the same way: every set lists the generated vertices in
+// ascending order on both.
+func TestBuiltAndLoadedRRSetsMatch(t *testing.T) {
+	b := mustBuilder(t, karateGraph(t), 2, 67)
+	appendSets(t, b, 3000)
+	built, err := b.Oracle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "built.sketch")
+	if err := WriteFile(path, built); err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	loaded := m.Oracle()
+	for i, set := range setsRange(t, b, 0, b.NumSets()) {
+		want := slices.Sorted(slices.Values(set))
+		if got := built.RRSet(i); !slices.Equal(got, want) {
+			t.Fatalf("built RRSet(%d) = %v, want the generated set ascending %v", i, got, want)
+		}
+		if got := loaded.RRSet(i); !slices.Equal(got, want) {
+			t.Fatalf("loaded RRSet(%d) = %v, want the built oracle's %v", i, got, want)
+		}
+	}
 }
 
 func TestOpenMappedMatchesStreamingDecode(t *testing.T) {

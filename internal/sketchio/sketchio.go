@@ -175,12 +175,27 @@ func writeLE[T uint64 | int32](w io.Writer, s []T) error {
 	return nil
 }
 
-// writeRecords writes count length-prefixed RR-set records, obtained from
-// get, to w: the payload encoder of v2 checkpoint segments.
-func writeRecords(w io.Writer, count int, get func(int) []graph.VertexID) error {
+// setIter streams RR sets in index order to fn, stopping at fn's first error:
+// the shape of core.RRStore.ForEach over a fixed range.
+type setIter func(fn func(i int, set []graph.VertexID) error) error
+
+// eachSet iterates over sets held in a slice.
+func eachSet(sets [][]graph.VertexID) setIter {
+	return func(fn func(int, []graph.VertexID) error) error {
+		for i, set := range sets {
+			if err := fn(i, set); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// writeRecords writes the length-prefixed RR-set records each streams to w:
+// the payload encoder of v2 checkpoint segments.
+func writeRecords(w io.Writer, each setIter) error {
 	var scratch []byte
-	for i := 0; i < count; i++ {
-		set := get(i)
+	return each(func(_ int, set []graph.VertexID) error {
 		need := 4 + 4*len(set)
 		if cap(scratch) < need {
 			scratch = make([]byte, need)
@@ -190,11 +205,9 @@ func writeRecords(w io.Writer, count int, get func(int) []graph.VertexID) error 
 		for j, v := range set {
 			binary.LittleEndian.PutUint32(buf[4+4*j:], uint32(v))
 		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, err := w.Write(buf)
+		return err
+	})
 }
 
 // recordsLen returns the encoded payload size of the given RR sets.

@@ -250,8 +250,12 @@ func buildSketch(t testing.TB, n, numSets uint64, payload []byte) []byte {
 // encodeV1 renders o as a version 1 sketch, the format earlier builds wrote.
 func encodeV1(t testing.TB, o *core.Oracle) []byte {
 	t.Helper()
+	sets := make([][]graph.VertexID, o.NumSets())
+	for i := range sets {
+		sets[i] = o.RRSet(i)
+	}
 	var payload bytes.Buffer
-	if err := writeRecords(&payload, o.NumSets(), o.RRSet); err != nil {
+	if err := writeRecords(&payload, eachSet(sets)); err != nil {
 		t.Fatal(err)
 	}
 	raw := buildSketch(t, uint64(o.NumVertices()), uint64(o.NumSets()), payload.Bytes())

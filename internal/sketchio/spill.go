@@ -21,10 +21,10 @@ const (
 	// DefaultSpillMemBudget bounds the decoded working set a SpillStore keeps
 	// on the heap when the caller passes budget 0.
 	DefaultSpillMemBudget = 64 << 20
-	// DefaultSpillMaxBatch caps one append round of a spill build. The
-	// in-flight batch lives on the heap until the store persists it —
-	// independent of the store's budget — so spill builds keep rounds small:
-	// 2^16 sets is a few MiB on typical graphs.
+	// DefaultSpillMaxBatch caps one append round of a spill build with a
+	// bounded budget. The in-flight batch lives on the heap until the store
+	// persists it — independent of the store's budget — so such builds keep
+	// rounds small: 2^16 sets is a few MiB on typical graphs.
 	DefaultSpillMaxBatch = 1 << 16
 )
 
@@ -43,19 +43,22 @@ type spillCacheEntry struct {
 	lastUse int64
 }
 
-// SpillStore is the disk-backed core.RRStore: every appended batch is written
-// through as one CRC-framed v2 checkpoint segment (written, then fsynced)
-// before Append returns, so the file is simultaneously the primary build
-// medium and a crash-consistent checkpoint — reopening it resumes the build
-// exactly where the last durable segment left off, torn tail truncated away.
+// SpillStore is the disk-backed core.RRStore and the only code that writes
+// v2 checkpoint files: every appended batch is written through as one
+// CRC-framed segment (written, then fsynced) before Append returns, so the
+// file is simultaneously the build's storage and a crash-consistent
+// checkpoint — reopening it resumes the build exactly where the last durable
+// segment left off, torn tail truncated away.
 //
-// Reads go through the file: a segment index (built once at open, extended on
-// append) maps a set index to its segment, the segment's bytes are read
-// via mmap when available, and decoded segments live in a small
-// least-recently-used working set bounded by the configured byte budget.
-// Decoded sets are heap copies, never aliases of the mapping, so remapping
-// after growth and evicting under budget pressure are both safe while a
-// caller still holds a previously returned slice.
+// Appended batches stay decoded in a least-recently-used working set bounded
+// by the configured byte budget; an unbounded store keeps every set there and
+// is a checkpointed in-memory store. ForEach reads a segment that is not
+// resident back through the file: a segment index (built once at open,
+// extended on append) maps a set index to its segment, and the segment's
+// bytes are read via mmap when available. Decoded sets are heap copies,
+// never aliases of the mapping, so remapping after growth and evicting under
+// budget pressure are both safe while a caller still holds a previously
+// returned slice.
 //
 // Because the builder's RR-set sequence depends only on (seed, index), a
 // build through a SpillStore produces byte-for-byte the sketch an in-memory
@@ -66,7 +69,6 @@ type spillCacheEntry struct {
 type SpillStore struct {
 	mu     sync.Mutex
 	f      *os.File
-	path   string
 	meta   CheckpointMeta
 	budget int64
 
@@ -82,6 +84,7 @@ type SpillStore struct {
 	cache      map[int]*spillCacheEntry // segment index → decoded sets
 	cacheBytes int64
 	tick       int64
+	decodes    int // segments decoded from the file so far
 
 	err error // sticky: a failed append leaves an untrusted tail
 }
@@ -91,23 +94,30 @@ var _ core.RRStore = (*SpillStore)(nil)
 // OpenSpillStore opens (or creates) the spill file at path for the build
 // identified by meta. budget bounds the decoded working set in bytes: 0
 // selects DefaultSpillMemBudget, negative means unbounded (the store then
-// degenerates to a write-through in-memory store with a durable mirror).
+// keeps every set on the heap, with the file as its durable mirror).
 //
 // A fresh file gets the v2 checkpoint header. An existing file must carry the
-// same metadata (ErrCheckpointMeta otherwise) and is scanned segment by
-// segment — CRCs and vertex ids verified, nothing materialized — to rebuild
-// the segment index; a torn or corrupt tail is truncated away exactly as
-// OpenCheckpoint does, and the resumed build regenerates the lost sets
-// deterministically. The caller owns the store and must Close it; Close
-// leaves the file on disk for a later resume or for cleanup by the caller.
+// same metadata (ErrCheckpointMeta otherwise — resuming a different build's
+// file would splice two unrelated RR-set sequences) and is scanned segment
+// by segment, CRCs and vertex ids verified, to rebuild the segment index. A
+// bounded store materializes nothing during the scan; an unbounded one
+// decodes every segment into its working set there, so no later read
+// decodes it again. A torn or corrupt tail — a crash mid-append — is
+// truncated away: the surviving prefix is a shorter checkpoint of the same
+// deterministic sequence, and the resumed build regenerates the lost sets
+// identically. The caller owns the store and must Close it; Close leaves the
+// file on disk for a later resume or for cleanup by the caller.
 func OpenSpillStore(path string, meta CheckpointMeta, budget int64) (*SpillStore, error) {
 	if err := meta.validate(); err != nil {
 		return nil, err
 	}
+	// An unbounded store decodes the durable segments while it scans them.
+	var arena *vertexArena
 	if budget == 0 {
 		budget = DefaultSpillMemBudget
 	} else if budget < 0 {
 		budget = math.MaxInt64
+		arena = &vertexArena{}
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -118,7 +128,7 @@ func OpenSpillStore(path string, meta CheckpointMeta, budget int64) (*SpillStore
 		_ = f.Close()
 		return nil, err
 	}
-	s := &SpillStore{f: f, path: path, meta: meta, budget: budget, cache: make(map[int]*spillCacheEntry)}
+	s := &SpillStore{f: f, meta: meta, budget: budget, cache: make(map[int]*spillCacheEntry)}
 	if st.Size() == 0 {
 		if _, err := f.Write(encodeCheckpointHeader(meta)); err != nil {
 			_ = f.Close()
@@ -150,9 +160,9 @@ func OpenSpillStore(path string, meta CheckpointMeta, budget int64) (*SpillStore
 	}
 	off := int64(headerLen)
 	for {
-		// Validate-only pass (nil arena): CRCs and vertex ids are checked now
-		// so later reads can trust the index without rescanning.
-		_, count, size, _, err := readSegment(br, meta.N, s.numSets, nil)
+		// CRCs and vertex ids are checked now, so later reads can trust the
+		// index without rescanning.
+		sets, count, size, _, err := readSegment(br, meta.N, s.numSets, arena)
 		if err == io.EOF {
 			break
 		}
@@ -170,6 +180,10 @@ func OpenSpillStore(path string, meta CheckpointMeta, budget int64) (*SpillStore
 		s.numSets += count
 		s.payload += int64(payload)
 		off += size
+		if sets != nil {
+			s.decodes++
+			s.insertCacheLocked(len(s.segs)-1, sets)
+		}
 	}
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		_ = f.Close()
@@ -178,9 +192,6 @@ func OpenSpillStore(path string, meta CheckpointMeta, budget int64) (*SpillStore
 	s.size = off
 	return s, nil
 }
-
-// Path returns the spill file's path.
-func (s *SpillStore) Path() string { return s.path }
 
 // Meta returns the build identity recorded in the spill file's header.
 func (s *SpillStore) Meta() CheckpointMeta { return s.meta }
@@ -224,25 +235,6 @@ func (s *SpillStore) Append(batch [][]graph.VertexID) error {
 	return nil
 }
 
-// Set returns RR set i, decoding its segment from the spill file if it is not
-// resident. The slice is a read-only heap copy owned by the store's cache. A
-// read that fails against media verified at open time (bit rot after the
-// fact, file deleted underfoot) panics — the core.RRStore contract has no
-// error path for Set, mirroring slice indexing.
-func (s *SpillStore) Set(i int) []graph.VertexID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i < 0 || i >= s.numSets {
-		panic(fmt.Sprintf("sketchio: spill store set index %d out of range [0, %d)", i, s.numSets))
-	}
-	si := s.segForLocked(i)
-	sets, err := s.segmentSetsLocked(si, true)
-	if err != nil {
-		panic(fmt.Sprintf("sketchio: spill store read of set %d failed: %v", i, err))
-	}
-	return sets[i-s.segs[si].first]
-}
-
 // ForEach streams the sets with index in [from, to) in ascending order. Each
 // non-resident segment is decoded once, in file order, without entering the
 // working set — bulk scans (member-index construction, finalize) do not evict
@@ -259,7 +251,7 @@ func (s *SpillStore) ForEach(from, to int, fn func(i int, set []graph.VertexID) 
 		s.mu.Lock()
 		si := s.segForLocked(i)
 		seg := s.segs[si]
-		sets, err := s.segmentSetsLocked(si, false)
+		sets, err := s.segmentSetsLocked(si)
 		s.mu.Unlock()
 		if err != nil {
 			return err
@@ -291,9 +283,9 @@ func (s *SpillStore) Stats() core.StoreStats {
 }
 
 // Close unmaps and closes the spill file, dropping the working set. The file
-// stays on disk — it is a valid checkpoint a later OpenSpillStore (or
-// OpenCheckpoint) resumes from; delete it when the build's artifacts are no
-// longer needed. Sets must not be read after Close.
+// stays on disk — it is a valid checkpoint a later OpenSpillStore resumes
+// from; delete it when the build's artifacts are no longer needed. Sets must
+// not be read after Close.
 func (s *SpillStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,23 +307,16 @@ func (s *SpillStore) segForLocked(i int) int {
 	return sort.Search(len(s.segs), func(k int) bool { return s.segs[k].first+s.segs[k].count > i })
 }
 
-// segmentSetsLocked returns segment si decoded, from the working set when
-// resident. cacheIt controls whether a fresh decode enters the working set
-// (point reads) or stays ephemeral (bulk scans).
-func (s *SpillStore) segmentSetsLocked(si int, cacheIt bool) ([][]graph.VertexID, error) {
+// segmentSetsLocked returns segment si decoded: from the working set when
+// resident, otherwise decoded from the file without entering the working set,
+// so a bulk scan does not evict the build's hot tail.
+func (s *SpillStore) segmentSetsLocked(si int) ([][]graph.VertexID, error) {
 	if e, ok := s.cache[si]; ok {
 		s.tick++
 		e.lastUse = s.tick
 		return e.sets, nil
 	}
-	sets, err := s.decodeSegLocked(si)
-	if err != nil {
-		return nil, err
-	}
-	if cacheIt {
-		s.insertCacheLocked(si, sets)
-	}
-	return sets, nil
+	return s.decodeSegLocked(si)
 }
 
 // decodeSegLocked reads segment si back from the spill file, preferring the
@@ -352,7 +337,11 @@ func (s *SpillStore) decodeSegLocked(si int) ([][]graph.VertexID, error) {
 		br = bufio.NewReaderSize(io.NewSectionReader(s.f, seg.off, segSize), 1<<16)
 	}
 	sets, _, _, _, err := readSegment(br, s.meta.N, seg.first, &vertexArena{})
-	return sets, err
+	if err != nil {
+		return nil, err
+	}
+	s.decodes++
+	return sets, nil
 }
 
 // remapLocked refreshes the read mapping after the file has grown. Mapping is
@@ -394,20 +383,23 @@ func (s *SpillStore) insertCacheLocked(si int, sets [][]graph.VertexID) {
 	}
 }
 
-// BuildSpill runs a disk-backed adaptive build end to end: it opens (or
-// resumes) the spill file at path, reconstructs the builder from the segments
-// already on disk, and runs BuildToTarget with every appended batch written
-// through the store. target.MaxBatch is clamped to DefaultSpillMaxBatch so
-// the in-flight batch — the only full-size RR-set buffer a spill build holds —
-// stays small. memBudget has OpenSpillStore semantics (0 default, negative
-// unbounded).
+// BuildSpill runs a checkpointed build end to end: it opens (or resumes) the
+// v2 file at path, reconstructs the builder from the segments already on
+// disk, and runs BuildToTarget with every round's batch written through the
+// store as one durable segment. memBudget has OpenSpillStore semantics (0
+// default, negative unbounded). A bounded build clamps target.MaxBatch to
+// DefaultSpillMaxBatch, so the in-flight batch — the only full-size RR-set
+// buffer it holds — stays small. An unbounded build is an in-memory build
+// with a durable mirror: it keeps BuildToTarget's doubling rounds, so it
+// writes one segment per round and an adaptive build checks its bound no
+// more often than in memory.
 //
 // On every return after the store opened successfully — success, cancellation,
 // append failure — the store is returned alongside the builder and the caller
-// owns closing it; the oracle a later builder.Oracle() yields reads through
-// the store, which must therefore stay open until the sketch is finalized
-// (e.g. WriteFile) and queries are done. The spill file itself survives Close
-// for resume; remove it once the final sketch is written.
+// owns closing it. The oracle a later builder.Oracle() yields holds only its
+// member index, so the store can be closed as soon as Oracle returns. The
+// file itself survives Close for resume; remove it once the final sketch is
+// written.
 func BuildSpill(ctx context.Context, path string, ig *graph.InfluenceGraph, model diffusion.Model, workers int, seed uint64, memBudget int64, target core.BuildTarget) (*core.SketchBuilder, *SpillStore, core.BuildResult, error) {
 	if ig == nil || ig.NumVertices() == 0 {
 		return nil, nil, core.BuildResult{}, core.ErrEmptyGraph
@@ -421,7 +413,7 @@ func BuildSpill(ctx context.Context, path string, ig *graph.InfluenceGraph, mode
 		_ = store.Close()
 		return nil, nil, core.BuildResult{}, err
 	}
-	if target.MaxBatch < 1 || target.MaxBatch > DefaultSpillMaxBatch {
+	if memBudget >= 0 && (target.MaxBatch < 1 || target.MaxBatch > DefaultSpillMaxBatch) {
 		target.MaxBatch = DefaultSpillMaxBatch
 	}
 	res, err := b.BuildToTarget(ctx, target)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -250,7 +251,7 @@ func TestOpenSpillStoreTruncatesTornTail(t *testing.T) {
 		t.Errorf("file size after reopen = %d, want %d", got, goodSize)
 	}
 	// Reads of the recovered prefix round-trip.
-	if !setsEqual(s2.Set(123), b.SetAt(123)) {
+	if !setsEqual(storeSets(t, s2, 123, 124)[0], setsRange(t, b, 123, 124)[0]) {
 		t.Error("recovered set 123 differs from builder's")
 	}
 
@@ -274,8 +275,8 @@ func setsEqual(a, b []graph.VertexID) bool {
 }
 
 // TestSpillStoreConcurrentReadsWithAppend drives the RRStore concurrency
-// contract on the disk-backed store under -race: point reads, bulk scans and
-// stats race with one appender.
+// contract on the disk-backed store under -race: short and whole-segment
+// ForEach scans and stats race with one appender.
 func TestSpillStoreConcurrentReadsWithAppend(t *testing.T) {
 	ig := karateGraph(t)
 	meta := checkpointMetaFor(ig, diffusion.IC, 43)
@@ -286,8 +287,15 @@ func TestSpillStoreConcurrentReadsWithAppend(t *testing.T) {
 	defer s.Close()
 	b := mustBuilder(t, ig, 2, 43)
 	appendSets(t, b, 2000)
-	if err := s.Append(setsRange(t, b, 0, 1000)); err != nil {
+	want := setsRange(t, b, 0, 2000)
+	if err := s.Append(want[:1000]); err != nil {
 		t.Fatal(err)
+	}
+	check := func(i int, set []graph.VertexID) error {
+		if !setsEqual(set, want[i]) {
+			return fmt.Errorf("set %d mismatch under concurrency", i)
+		}
+		return nil
 	}
 
 	var wg sync.WaitGroup
@@ -295,7 +303,7 @@ func TestSpillStoreConcurrentReadsWithAppend(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for from := 1000; from < 2000; from += 100 {
-			if err := s.Append(setsRange(t, b, from, from+100)); err != nil {
+			if err := s.Append(want[from : from+100]); err != nil {
 				t.Error(err)
 				return
 			}
@@ -304,18 +312,13 @@ func TestSpillStoreConcurrentReadsWithAppend(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
-			if !setsEqual(s.Set(i%1000), b.SetAt(i%1000)) {
-				t.Errorf("set %d mismatch under concurrency", i%1000)
+			if err := s.ForEach(i%1000, i%1000+1, check); err != nil {
+				t.Error(err)
 				return
 			}
 			_ = s.Stats()
 		}
-		if err := s.ForEach(0, 1000, func(i int, set []graph.VertexID) error {
-			if !setsEqual(set, b.SetAt(i)) {
-				return fmt.Errorf("ForEach set %d mismatch", i)
-			}
-			return nil
-		}); err != nil {
+		if err := s.ForEach(0, 1000, check); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -323,12 +326,11 @@ func TestSpillStoreConcurrentReadsWithAppend(t *testing.T) {
 	if s.NumSets() != 2000 {
 		t.Errorf("store holds %d sets, want 2000", s.NumSets())
 	}
-	// The cache may legitimately end holding the 1000-set segment (a late
-	// read re-pins it, and the newest entry is never evicted), so the bound
-	// is one pinned segment, not the byte budget itself.
+	// The newest entry is never evicted, even over budget, so the bound is
+	// the largest segment (the first, 1000-set one), not the budget itself.
 	var seg0 int64
-	for i := 0; i < 1000; i++ {
-		seg0 += 24 + 4*int64(len(b.SetAt(i)))
+	for _, set := range want[:1000] {
+		seg0 += 24 + 4*int64(len(set))
 	}
 	if st := s.Stats(); st.MemBytes > max(2<<10, seg0) {
 		t.Errorf("working set %d exceeds one pinned segment (%d) on a tiny budget", st.MemBytes, seg0)
@@ -360,8 +362,155 @@ func TestSpillStoreEviction(t *testing.T) {
 	}
 	// Oldest segments are long evicted; read them back through the file.
 	for _, i := range []int{0, 1, 249, 250, 1500, 2999} {
-		if !setsEqual(s.Set(i), b.SetAt(i)) {
+		if !setsEqual(storeSets(t, s, i, i+1)[0], setsRange(t, b, i, i+1)[0]) {
 			t.Errorf("set %d corrupted across eviction round-trip", i)
 		}
+	}
+}
+
+// segmentSizes returns the RR-set count of every segment of the v2 file at
+// path, as Inspect reports them.
+func segmentSizes(t testing.TB, path string) []int {
+	t.Helper()
+	info, err := Inspect(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Corrupt || info.Version != CheckpointVersion {
+		t.Fatalf("inspect %s = %+v", path, info)
+	}
+	var sizes []int
+	for _, sec := range info.Sections[1:] {
+		sizes = append(sizes, sec.Sets)
+	}
+	return sizes
+}
+
+// roundSizes is the sets each BuildToTarget round appends building total sets
+// in memory.
+func roundSizes(t testing.TB, total int, seed uint64) []int {
+	t.Helper()
+	var rounds []int
+	b := mustBuilder(t, karateGraph(t), 2, seed)
+	if _, err := b.BuildToTarget(context.Background(), core.BuildTarget{MaxSets: total, Progress: func(p core.BuildProgress) error {
+		if p.Appended > 0 {
+			rounds = append(rounds, p.Appended)
+		}
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	return rounds
+}
+
+// spillBuildTo runs a fixed-size BuildSpill of total sets at budget into a
+// fresh file and returns its path.
+func spillBuildTo(t testing.TB, total int, seed uint64, budget int64) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "build.ckpt")
+	_, store, res, err := BuildSpill(context.Background(), path, karateGraph(t), diffusion.IC, 2, seed, budget, core.BuildTarget{MaxSets: total})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Sets != total {
+		t.Fatalf("build stopped at %d sets, want %d", res.Sets, total)
+	}
+	return path
+}
+
+// spillRoundsTotal reaches past 2^17 sets, so its last doubling round
+// appends more than DefaultSpillMaxBatch sets.
+const spillRoundsTotal = 200_000
+
+// TestUnboundedBuildSpillWritesOneSegmentPerRound: an unbounded build keeps
+// BuildToTarget's doubling rounds, so its file holds one segment per round
+// of the in-memory build — 1,024, 1,024, 2,048, … sets — including a round
+// larger than DefaultSpillMaxBatch.
+func TestUnboundedBuildSpillWritesOneSegmentPerRound(t *testing.T) {
+	const seed = 59
+	got := segmentSizes(t, spillBuildTo(t, spillRoundsTotal, seed, -1))
+	want := roundSizes(t, spillRoundsTotal, seed)
+	if !slices.Equal(got, want) {
+		t.Errorf("unbounded build segments = %v, want the in-memory rounds %v", got, want)
+	}
+	if got[0] != core.DefaultMinSets || got[1] != core.DefaultMinSets || got[2] != 2*core.DefaultMinSets {
+		t.Errorf("unbounded build segments start %v, want 1024, 1024, 2048", got[:3])
+	}
+	if slices.Max(got) <= DefaultSpillMaxBatch {
+		t.Errorf("unbounded build segments %v never exceed DefaultSpillMaxBatch", got)
+	}
+}
+
+// TestBoundedBuildSpillCapsSegments: a build with a bounded working set
+// appends at most DefaultSpillMaxBatch sets per round, so no segment of its
+// file is larger.
+func TestBoundedBuildSpillCapsSegments(t *testing.T) {
+	got := segmentSizes(t, spillBuildTo(t, spillRoundsTotal, 59, 0))
+	total := 0
+	for _, n := range got {
+		total += n
+	}
+	if total != spillRoundsTotal || slices.Max(got) != DefaultSpillMaxBatch {
+		t.Errorf("bounded build segments = %v (%d sets), want %d sets in segments of at most %d",
+			got, total, spillRoundsTotal, DefaultSpillMaxBatch)
+	}
+}
+
+// TestUnboundedSpillStoreDecodesOnce: reopening a file into an unbounded
+// store decodes each durable segment exactly once, during the open scan, and
+// finalizing oracles over it decodes nothing more. A bounded store decodes
+// nothing at open and reads the segments back on every transpose.
+func TestUnboundedSpillStoreDecodesOnce(t *testing.T) {
+	const total, seed = 5000, 61
+	ig := karateGraph(t)
+	path := spillBuildTo(t, total, seed, -1)
+	meta := checkpointMetaFor(ig, diffusion.IC, seed)
+	want, _ := memoryBuiltSketch(t, 1, total, seed)
+
+	oracleTwice := func(s *SpillStore) {
+		t.Helper()
+		for _, workers := range []int{1, 4} {
+			b, err := core.NewSketchBuilderFromStore(ig, diffusion.IC, workers, seed, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := b.Oracle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeOracle(t, o), want) {
+				t.Errorf("workers=%d: reopened store's oracle differs from the in-memory build's", workers)
+			}
+		}
+	}
+
+	s, err := OpenSpillStore(path, meta, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	segs := len(s.segs)
+	if got := s.segmentDecodes(); segs < 3 || got != segs {
+		t.Fatalf("unbounded open decoded %d times for %d segments", got, segs)
+	}
+	oracleTwice(s)
+	if got := s.segmentDecodes(); got != segs {
+		t.Errorf("two Oracle() calls over an unbounded store decoded %d more segments", got-segs)
+	}
+
+	bounded, err := OpenSpillStore(path, meta, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bounded.Close()
+	if got := bounded.segmentDecodes(); got != 0 {
+		t.Fatalf("bounded open decoded %d segments", got)
+	}
+	oracleTwice(bounded)
+	if got := bounded.segmentDecodes(); got < 2*segs {
+		t.Errorf("two Oracle() calls over a bounded store decoded %d segments, want at least %d", got, 2*segs)
 	}
 }
