@@ -74,55 +74,23 @@ func benchmarkInfluenceGraph(b *testing.B, n, m int, p float64) *graph.Influence
 	return in.ig
 }
 
-// BenchmarkParallelBuild measures the Build phase of the two pre-sampling
-// approaches — Snapshot's τ live-edge graphs and RIS's θ RR sets — serially
-// and on the worker pool, on a generated BA graph. The workers=4 rows should
-// run at least ~2x faster than workers=1 on a 4-core machine.
+// BenchmarkParallelBuild measures RIS's Build, θ RR sets, on 1, 2 and 4
+// workers on a generated BA graph. Its RR pool is the same at every worker
+// count; RIS is the one approach whose Build fans out, since Oneshot and
+// Snapshot draw their samples in sequence as the paper does.
 func BenchmarkParallelBuild(b *testing.B) {
 	ig := benchmarkInfluenceGraph(b, 20000, 8, 0.05)
-	cases := []struct {
-		approach estimator.Approach
-		samples  int
-	}{
-		{estimator.Snapshot, 32},
-		{estimator.RIS, 20000},
-	}
-	for _, c := range cases {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", c.approach, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := estimator.New(c.approach, estimator.Config{
-						Graph:        ig,
-						SampleNumber: c.samples,
-						Source:       rng.NewXoshiro(uint64(i + 1)),
-						Workers:      workers,
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelOneshotEstimate measures one Oneshot estimate (β forward
-// simulations) serially and on the worker pool.
-func BenchmarkParallelOneshotEstimate(b *testing.B) {
-	ig := benchmarkInfluenceGraph(b, 20000, 8, 0.05)
 	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			est, err := estimator.New(estimator.Oneshot, estimator.Config{
-				Graph:        ig,
-				SampleNumber: 64,
-				Source:       rng.NewXoshiro(1),
-				Workers:      workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
+		b.Run(fmt.Sprintf("RIS/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = est.Estimate(graph.VertexID(i % ig.NumVertices()))
+				if _, err := estimator.New(estimator.RIS, estimator.Config{
+					Graph:        ig,
+					SampleNumber: 20000,
+					Source:       rng.NewXoshiro(uint64(i + 1)),
+					Workers:      workers,
+				}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

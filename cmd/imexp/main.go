@@ -34,7 +34,7 @@ func run(args []string, out io.Writer) error {
 		expID   = fs.String("exp", "", "experiment id to run (see -list)")
 		preset  = fs.String("preset", string(experiment.Small), "scale preset: unit, small or paper")
 		seed    = fs.Uint64("seed", 0, "master seed override (0 keeps the default)")
-		workers = fs.Int("workers", 1, "sampling parallelism: 1 = serial (paper-exact), >1 = that many workers, -1 = all CPUs")
+		workers = fs.Int("workers", 1, "goroutines the trials fan out over: 1 = one at a time, >1 = that many, -1 = all CPUs; output is the same at every value")
 		list    = fs.Bool("list", false, "list available experiments and exit")
 		all     = fs.Bool("all", false, "run every experiment in paper order")
 	)

@@ -37,7 +37,7 @@ func run(args []string) error {
 		oracleRR  = fs.Int("oracle", 200000, "RR sets backing the influence oracle")
 		seed      = fs.Uint64("seed", 1, "random seed")
 		lazy      = fs.Bool("lazy", false, "use CELF lazy greedy")
-		workers   = fs.Int("workers", 1, "sampling parallelism: 1 = serial, >1 = that many workers, -1 = all CPUs")
+		workers   = fs.Int("workers", 1, "goroutines for RIS sampling and the oracle build: >1 = that many, -1 = all CPUs; output is the same at every value")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

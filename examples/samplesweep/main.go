@@ -27,8 +27,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Build the shared oracle with all CPUs; the sweep below is a long serial
-	// chain of studies, so each study also fans its sampling out (Workers).
+	// Build the shared oracle with all CPUs; the sweep below is a long chain
+	// of studies, so each study also fans its trials out (Workers). Neither
+	// changes a printed number.
 	oracle, err := ig.NewInfluenceOracleWithOptions(imdist.OracleOptions{
 		RRSets:  300000,
 		Seed:    5,

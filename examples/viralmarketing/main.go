@@ -63,7 +63,7 @@ func main() {
 			SampleNumber: b.samples,
 			Seed:         11,
 			Lazy:         b.approach != imdist.Oneshot, // CELF is safe for submodular estimators
-			Workers:      4,                            // parallel sampling; deterministic for fixed Seed
+			Workers:      4,                            // RIS draws its RR sets on 4 goroutines; same answer at any count
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -218,19 +218,12 @@ type SeedOptions struct {
 	Lazy bool
 	// Model is the diffusion model; empty means IC.
 	Model DiffusionModel
-	// Workers is the sampling parallelism. 0 and 1 sample on the calling
-	// goroutine; values greater than 1 fan the sampling work — Snapshot's τ
-	// live-edge graphs, RIS's θ reverse-reachable sets, Oneshot's β
-	// simulations per estimate — out over that many worker goroutines;
-	// negative values use one worker per available CPU. Parallel runs are
-	// deterministic: with a fixed Seed the selected seed set and the reported
-	// Cost are byte-identical across repeated runs and across any parallel
-	// worker count (each sample draws from its own rng stream derived from
-	// Seed, and per-worker cost accumulators are merged exactly after the
-	// join). RIS derives per-sample streams at every worker count, so its
-	// runs are byte-identical across all Workers values; for Oneshot and
-	// Snapshot only the serial/parallel mode switch changes which random
-	// numbers a run sees.
+	// Workers is a speed setting: it never changes the selected seeds or the
+	// reported Cost. RIS draws its θ reverse-reachable sets on that many
+	// goroutines (0 and 1 on the calling goroutine, negative values on one
+	// per available CPU), each set from its own rng stream derived from
+	// Seed. Oneshot and Snapshot draw their random numbers in sequence, as
+	// the paper's algorithms do, and run on the calling goroutine.
 	Workers int
 }
 
@@ -338,12 +331,11 @@ type OracleOptions struct {
 	RRSets int
 	// Seed drives all randomness of the build.
 	Seed uint64
-	// Workers is the build parallelism, with the same semantics as
-	// SeedOptions.Workers: 0 and 1 generate the RR sets on the calling
-	// goroutine, larger values generate them on that many goroutines, and
-	// negative values use all CPUs. Every RR set draws from its own rng
-	// stream derived from Seed, so every worker count — serial included —
-	// yields a byte-identical oracle for a fixed Seed.
+	// Workers is the build's goroutine count: 0 and 1 generate and index the
+	// RR sets on the calling goroutine, larger values on that many
+	// goroutines, negative values on one per available CPU. Every RR set
+	// draws from its own rng stream derived from Seed, so the oracle is
+	// byte-identical at every worker count.
 	Workers int
 }
 
@@ -889,10 +881,11 @@ type StudyOptions struct {
 	// Oracle evaluates every produced seed set; it must come from the same
 	// influence network.
 	Oracle *InfluenceOracle
-	// Workers is the per-trial sampling parallelism, with the same semantics
-	// and determinism guarantee as SeedOptions.Workers. Trials themselves run
-	// sequentially, so the study's per-trial rng streams are derived exactly
-	// as in the serial harness.
+	// Workers is the number of goroutines the trials fan out over (0 and 1
+	// run them one after another, negative values use one per available
+	// CPU). Each trial runs the approach's serial algorithm on its own rng
+	// streams derived from Seed, so the result is byte-identical at every
+	// worker count.
 	Workers int
 }
 

@@ -42,7 +42,7 @@ type SketchBuilder struct {
 	workers int
 	split   rng.Splitter
 
-	samplers []rrSampler
+	samplers []diffusion.ReverseSampler
 	store    RRStore
 
 	// oracle caches the finalized view of the first oracleAt sets; appending
@@ -52,11 +52,11 @@ type SketchBuilder struct {
 }
 
 // NewSketchBuilder returns an empty builder over ig for the given diffusion
-// model, storing its RR sets in memory. workers has the NewOracleParallel
-// semantics (0/1 serial, n workers, negative = all CPUs) and only affects
-// speed, never the generated sets. seed pins the whole RR-set sequence,
-// exactly as in NewOracleParallelSeeded: a builder grown to R sets produces
-// the same sketch that NewOracleParallelSeeded(ig, model, R, w, seed) would.
+// model, storing its RR sets in memory. workers is the goroutine count its
+// batches and oracles run on (0 and 1 serial, negative for all CPUs); it
+// changes speed, never the generated sets. seed pins the whole RR-set
+// sequence: a builder grown to R sets produces the same sketch as
+// NewOracleParallelSeeded(ig, model, R, w, seed), itself a one-batch build.
 func NewSketchBuilder(ig *graph.InfluenceGraph, model diffusion.Model, workers int, seed uint64) (*SketchBuilder, error) {
 	return ResumeSketchBuilder(ig, model, workers, seed, nil)
 }
@@ -88,6 +88,19 @@ func ResumeSketchBuilder(ig *graph.InfluenceGraph, model diffusion.Model, worker
 // store.NumSets(); every batch the builder appends goes back into the same
 // store. The builder does not take over closing the store.
 func NewSketchBuilderFromStore(ig *graph.InfluenceGraph, model diffusion.Model, workers int, seed uint64, store RRStore) (*SketchBuilder, error) {
+	if store == nil {
+		store = NewMemStore(nil)
+	}
+	// The same stream family as NewOracleParallelSeeded: base seed drawn once
+	// from rng.NewXoshiro(seed), then one stream per global RR-set index.
+	return newSketchBuilder(ig, model, workers, seed, rng.SplitterFrom(rng.Xoshiro, rng.NewXoshiro(seed)), store)
+}
+
+// newSketchBuilder returns a builder that draws RR set i from split.Stream(i)
+// into store and records seed as the sketch's provenance. Every constructor,
+// NewOracleParallel included, ends here, so AppendBatch is the one loop that
+// draws RR sets.
+func newSketchBuilder(ig *graph.InfluenceGraph, model diffusion.Model, workers int, seed uint64, split rng.Splitter, store RRStore) (*SketchBuilder, error) {
 	if ig == nil || ig.NumVertices() == 0 {
 		return nil, ErrEmptyGraph
 	}
@@ -96,18 +109,12 @@ func NewSketchBuilderFromStore(ig *graph.InfluenceGraph, model diffusion.Model, 
 			return nil, err
 		}
 	}
-	if store == nil {
-		store = NewMemStore(nil)
-	}
-	// The same stream-family derivation as NewOracleParallelSeeded: base seed
-	// drawn once from rng.NewXoshiro(seed), then one independent stream per
-	// global RR-set index.
 	return &SketchBuilder{
 		ig:      ig,
 		model:   model,
 		seed:    seed,
 		workers: workers,
-		split:   rng.SplitterFrom(rng.Xoshiro, rng.NewXoshiro(seed)),
+		split:   split,
 		store:   store,
 	}, nil
 }
@@ -147,7 +154,7 @@ func (b *SketchBuilder) AppendBatch(m int) error {
 	}
 	w := parallel.Resolve(b.workers, m)
 	for len(b.samplers) < w {
-		b.samplers = append(b.samplers, newRRSampler(b.ig, b.model))
+		b.samplers = append(b.samplers, diffusion.NewReverseSampler(b.ig, b.model))
 	}
 	start := b.store.NumSets()
 	batch := make([][]graph.VertexID, m)

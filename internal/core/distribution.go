@@ -11,6 +11,7 @@ import (
 	"imdist/internal/estimator"
 	"imdist/internal/graph"
 	"imdist/internal/greedy"
+	"imdist/internal/parallel"
 	"imdist/internal/rng"
 	"imdist/internal/stats"
 )
@@ -45,12 +46,13 @@ type RunConfig struct {
 	// Model selects the diffusion model; the zero value is IC as in the
 	// paper. When set to LT, the Oracle must also have been built for LT.
 	Model diffusion.Model
-	// Workers is the per-trial sampling parallelism, forwarded to
-	// estimator.Config.Workers: 0 and 1 run the paper's serial algorithms,
-	// values greater than 1 fan each trial's Build (and Oneshot's
-	// simulations) out over that many goroutines, negative values use all
-	// CPUs. Trials themselves stay sequential so the estimator streams per
-	// trial are derived exactly as in the serial harness.
+	// Workers is the goroutine count the trials fan out over: 0 and 1 run
+	// them one after another, larger values on that many goroutines,
+	// negative values on one per available CPU. Every trial runs the paper's
+	// serial estimator on its own stream pair, so the distribution does not
+	// depend on Workers. A run with a single goroutine (Workers <= 1, or one
+	// trial) passes Workers on to estimator.Config.Workers, where only RIS's
+	// Build uses it.
 	Workers int
 }
 
@@ -70,7 +72,11 @@ type Distribution struct {
 var errBadRunConfig = errors.New("core: invalid run configuration")
 
 // RunDistribution executes cfg.Trials independent runs of the configured
-// approach and collects them into a Distribution.
+// approach and collects them into a Distribution, in trial order. The trials
+// run on parallel.Resolve(cfg.Workers, cfg.Trials) goroutines; trial t draws
+// only from its own streams (runOne), and the graph and the oracle are safe
+// for concurrent use, so the result is the same at every worker count. When
+// trials fail, the error of the lowest-index failing trial is returned.
 func RunDistribution(cfg RunConfig) (*Distribution, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("%w: nil graph", errBadRunConfig)
@@ -87,26 +93,35 @@ func RunDistribution(cfg RunConfig) (*Distribution, error) {
 	if cfg.SampleNumber < 1 {
 		return nil, fmt.Errorf("%w: sample number %d", errBadRunConfig, cfg.SampleNumber)
 	}
+	slots := parallel.Resolve(cfg.Workers, cfg.Trials)
+	estWorkers := cfg.Workers
+	if slots > 1 {
+		estWorkers = 1
+	}
+	trials := make([]Trial, cfg.Trials)
+	errs := make([]error, cfg.Trials)
+	parallel.For(slots, cfg.Trials, func(_, t int) {
+		trials[t], errs[t] = runOne(cfg, uint64(t), estWorkers)
+	})
 	d := &Distribution{
 		Approach:      cfg.Approach,
 		SampleNumber:  cfg.SampleNumber,
 		SeedSize:      cfg.SeedSize,
-		Trials:        make([]Trial, 0, cfg.Trials),
+		Trials:        trials,
 		seedSetCounts: make(map[string]int),
 	}
-	for t := 0; t < cfg.Trials; t++ {
-		trial, err := runOne(cfg, uint64(t))
-		if err != nil {
-			return nil, err
+	for t, trial := range trials {
+		if errs[t] != nil {
+			return nil, errs[t]
 		}
-		d.Trials = append(d.Trials, trial)
 		d.seedSetCounts[seedSetKey(trial.Seeds)]++
 	}
 	return d, nil
 }
 
-// runOne executes a single trial with randomness derived from (MasterSeed, t).
-func runOne(cfg RunConfig, trialIndex uint64) (Trial, error) {
+// runOne executes a single trial with randomness derived from (MasterSeed, t),
+// building its estimator at the given worker count.
+func runOne(cfg RunConfig, trialIndex uint64, workers int) (Trial, error) {
 	// Two independent streams per trial: one for the estimator's sampling and
 	// one for the greedy tie-break shuffle (Section 4.1 seeds a fresh PRNG
 	// state per run).
@@ -118,7 +133,7 @@ func runOne(cfg RunConfig, trialIndex uint64) (Trial, error) {
 		SampleNumber: cfg.SampleNumber,
 		Source:       estSrc,
 		Model:        cfg.Model,
-		Workers:      cfg.Workers,
+		Workers:      workers,
 	})
 	if err != nil {
 		return Trial{}, err

@@ -144,52 +144,24 @@ func NewOracleForModel(ig *graph.InfluenceGraph, model diffusion.Model, numSets 
 	return NewOracleParallel(ig, model, numSets, 1, src)
 }
 
-// rrSampler abstracts RR-set generation over diffusion models.
-type rrSampler interface {
-	Sample(targetSrc, edgeSrc rng.Source, cost *diffusion.Cost) []graph.VertexID
-}
-
-func newRRSampler(ig *graph.InfluenceGraph, model diffusion.Model) rrSampler {
-	if model == diffusion.LT {
-		return diffusion.NewLTRRSampler(ig)
-	}
-	return diffusion.NewRRSampler(ig)
-}
-
-// NewOracleParallel builds an oracle under the given diffusion model,
-// generating its RR sets on a pool of workers goroutines (0 and 1 generate
-// on the calling goroutine; negative values use all CPUs). Every RR set
-// draws from its own rng stream derived from a base seed taken once from
-// src — for serial and parallel builds alike — so the oracle is
-// byte-identical across runs and across every worker count, including the
-// serial ones.
+// NewOracleParallel builds an oracle of numSets RR sets under the given
+// diffusion model. It is a one-batch SketchBuilder build whose stream family
+// is rooted at a base seed taken once from src: RR set i draws from stream i,
+// so the oracle is byte-identical across runs and across every worker count.
+// workers (0 and 1 on the calling goroutine, negative for all CPUs) changes
+// only how fast the sets are drawn and indexed.
 func NewOracleParallel(ig *graph.InfluenceGraph, model diffusion.Model, numSets, workers int, src rng.Source) (*Oracle, error) {
-	if ig == nil || ig.NumVertices() == 0 {
-		return nil, ErrEmptyGraph
-	}
 	if numSets < 1 {
 		return nil, fmt.Errorf("core: oracle needs at least one RR set, got %d", numSets)
 	}
-	if model == diffusion.LT {
-		if err := diffusion.ValidateLTWeights(ig); err != nil {
-			return nil, err
-		}
+	b, err := newSketchBuilder(ig, model, workers, 0, rng.SplitterFrom(rng.Xoshiro, src), NewMemStore(nil))
+	if err != nil {
+		return nil, err
 	}
-	rrSets := make([][]graph.VertexID, numSets)
-	// Per-sample derived streams (target and edge coins share one), as in
-	// the RIS Build: the oracle is independent of the worker count — serial
-	// included — and of scheduling.
-	split := rng.SplitterFrom(rng.Xoshiro, src)
-	w := parallel.Resolve(workers, numSets)
-	samplers := make([]rrSampler, w)
-	for i := range samplers {
-		samplers[i] = newRRSampler(ig, model)
+	if err := b.AppendBatch(numSets); err != nil {
+		return nil, err
 	}
-	parallel.For(w, numSets, func(worker, i int) {
-		s := split.Stream(uint64(i))
-		rrSets[i] = samplers[worker].Sample(s, s, nil)
-	})
-	return newOracleFromStore(ig.NumVertices(), model, 0, NewMemStore(rrSets), workers)
+	return b.Oracle()
 }
 
 // NewOracleParallelSeeded is NewOracleParallel driven by an explicit master

@@ -95,11 +95,17 @@ func (s *MemStore) NumSets() int {
 	return len(s.sets)
 }
 
-// Append adds batch after the existing sets, taking ownership.
+// Append adds batch after the existing sets, taking ownership. An empty
+// store adopts its first batch rather than copying it, so a one-batch build
+// holds a single slice-header array.
 func (s *MemStore) Append(batch [][]graph.VertexID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sets = append(s.sets, batch...)
+	if len(s.sets) == 0 {
+		s.sets = batch
+	} else {
+		s.sets = append(s.sets, batch...)
+	}
 	for _, set := range batch {
 		s.payload += 4 + 4*int64(len(set))
 		s.mem += setBytes(set)

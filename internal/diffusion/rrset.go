@@ -5,6 +5,22 @@ import (
 	"imdist/internal/rng"
 )
 
+// ReverseSampler draws reverse-reachable sets under one diffusion model. Its
+// implementations own scratch buffers, so one ReverseSampler must not be
+// shared between goroutines.
+type ReverseSampler interface {
+	Sample(targetSrc, edgeSrc rng.Source, cost *Cost) []graph.VertexID
+}
+
+// NewReverseSampler returns the RR-set sampler of model over ig: an
+// LTRRSampler for LT, an RRSampler for IC.
+func NewReverseSampler(ig *graph.InfluenceGraph, model Model) ReverseSampler {
+	if model == LT {
+		return NewLTRRSampler(ig)
+	}
+	return NewRRSampler(ig)
+}
+
 // RRSampler generates reverse-reachable (RR) sets: for a random target z, the
 // set of vertices that can reach z in a live-edge graph G ~ G (Definition
 // 3.1). Generation is by reverse breadth-first search with lazy coin flips on

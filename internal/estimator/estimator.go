@@ -114,54 +114,29 @@ type Config struct {
 	Graph *graph.InfluenceGraph
 	// SampleNumber is β, τ or θ depending on the approach. It must be >= 1.
 	SampleNumber int
-	// Source provides the randomness for the estimator. RIS derives one
-	// stream per RR set from this one (collapsing the paper's two-PRNG
-	// discipline onto per-sample streams), so a single seed reproduces the
-	// run at any worker count.
+	// Source provides the randomness for the estimator. Oneshot and Snapshot
+	// draw every random number from it in sequence, as the paper's
+	// Algorithms 3.2 and 3.3 do. RIS takes one base seed from it and draws
+	// RR set i from its own stream i (rng.Splitter), collapsing the paper's
+	// two-PRNG discipline onto per-set streams.
 	Source rng.Source
 	// Model selects the diffusion model; the zero value is the Independent
 	// Cascade model used throughout the paper. Under the Linear Threshold
 	// model the graph's edge probabilities are interpreted as LT weights and
 	// must sum to at most 1 over each vertex's in-edges.
 	Model diffusion.Model
-	// Workers is the parallelism of the sampling engine. 0 and 1 run on the
-	// calling goroutine; values greater than 1 fan the sampling work
-	// (Snapshot's τ live-edge graphs, RIS's θ RR sets, Oneshot's β
-	// simulations per estimate) out over that many worker goroutines;
-	// negative values use one worker per available CPU.
-	//
-	// In parallel mode each sample draws from its own rng stream derived
-	// from a base seed taken once from Source (see rng.Splitter), so runs
-	// are byte-identical across repetitions and across different parallel
-	// worker counts. RIS uses the per-sample stream derivation at every
-	// worker count, so its RR pool does not depend on Workers at all;
-	// Oneshot and Snapshot keep the paper's serial algorithms at Workers 0
-	// and 1, drawing every random number sequentially from Source, and for
-	// them only the serial/parallel mode switch changes which random numbers
-	// a sample sees. Per-worker cost accumulators are merged after the join,
-	// keeping cost accounting exact.
+	// Workers is the goroutine count of RIS's Build: 0 and 1 draw the θ RR
+	// sets on the calling goroutine, larger values on that many goroutines,
+	// negative values on one per available CPU. The RR pool does not depend
+	// on it, and Oneshot and Snapshot ignore it, so no estimate or cost
+	// depends on Workers.
 	Workers int
-}
-
-// parallelEnabled reports whether the config requests the parallel sampling
-// discipline (per-sample derived streams). It depends only on the Workers
-// knob's serial/parallel mode, not on the effective goroutine count, so the
-// sampled randomness is machine-independent.
-func (cfg Config) parallelEnabled() bool {
-	return cfg.Workers < 0 || cfg.Workers > 1
 }
 
 // simulator abstracts forward Monte-Carlo simulation over diffusion models
 // (diffusion.Simulator for IC, diffusion.LTSimulator for LT).
 type simulator interface {
-	Run(seeds []graph.VertexID, src rng.Source, cost *diffusion.Cost) int
 	EstimateInfluence(seeds []graph.VertexID, count int, src rng.Source, cost *diffusion.Cost) float64
-}
-
-// reverseSampler abstracts reverse-reachable-set generation over diffusion
-// models (diffusion.RRSampler for IC, diffusion.LTRRSampler for LT).
-type reverseSampler interface {
-	Sample(targetSrc, edgeSrc rng.Source, cost *diffusion.Cost) []graph.VertexID
 }
 
 func newSimulator(cfg Config) simulator {
@@ -169,13 +144,6 @@ func newSimulator(cfg Config) simulator {
 		return diffusion.NewLTSimulator(cfg.Graph)
 	}
 	return diffusion.NewSimulator(cfg.Graph)
-}
-
-func newReverseSampler(cfg Config) reverseSampler {
-	if cfg.Model == diffusion.LT {
-		return diffusion.NewLTRRSampler(cfg.Graph)
-	}
-	return diffusion.NewRRSampler(cfg.Graph)
 }
 
 func sampleSnapshot(cfg Config, src rng.Source, cost *diffusion.Cost) *diffusion.Snapshot {

@@ -3,8 +3,6 @@ package estimator
 import (
 	"imdist/internal/diffusion"
 	"imdist/internal/graph"
-	"imdist/internal/parallel"
-	"imdist/internal/rng"
 )
 
 // oneshotEstimator implements Algorithm 3.2: Build and Update do nothing;
@@ -19,38 +17,16 @@ type oneshotEstimator struct {
 	// every Estimate call.
 	scratch []graph.VertexID
 	cost    diffusion.Cost
-	src     rng.Source
-
-	// Exactly one of sim (serial mode) and sims (parallel mode: one
-	// simulator's scratch buffers per worker) is allocated; both are set up
-	// once because Estimate is called n times per greedy round.
-	sim     simulator
-	workers int
-	sims    []simulator
-	// totals and costs are per-worker accumulators reused across Estimate
-	// calls so the hot path does not allocate.
-	totals []int64
-	costs  []diffusion.Cost
+	// sim is set up once because Estimate is called n times per greedy round.
+	sim simulator
 }
 
 func newOneshot(cfg Config) *oneshotEstimator {
-	o := &oneshotEstimator{
+	return &oneshotEstimator{
 		cfg:     cfg,
 		scratch: make([]graph.VertexID, 0, 16),
-		src:     cfg.Source,
+		sim:     newSimulator(cfg),
 	}
-	if cfg.parallelEnabled() {
-		o.workers = parallel.Resolve(cfg.Workers, cfg.SampleNumber)
-		o.sims = make([]simulator, o.workers)
-		for w := range o.sims {
-			o.sims[w] = newSimulator(cfg)
-		}
-		o.totals = make([]int64, o.workers)
-		o.costs = make([]diffusion.Cost, o.workers)
-	} else {
-		o.sim = newSimulator(cfg)
-	}
-	return o
 }
 
 func (o *oneshotEstimator) Approach() Approach { return Oneshot }
@@ -60,36 +36,7 @@ func (o *oneshotEstimator) SampleNumber() int { return o.cfg.SampleNumber }
 func (o *oneshotEstimator) Estimate(v graph.VertexID) float64 {
 	o.scratch = append(o.scratch[:0], o.seeds...)
 	o.scratch = append(o.scratch, v)
-	if o.cfg.parallelEnabled() {
-		return o.estimateParallel()
-	}
-	return o.sim.EstimateInfluence(o.scratch, o.cfg.SampleNumber, o.src, &o.cost)
-}
-
-// estimateParallel splits the β simulations of one estimate across the worker
-// pool. Simulation i draws from its own stream derived from a base seed taken
-// sequentially from the estimator's source, so the set of simulations — and
-// the integer activation total they sum to — is independent of the worker
-// count and of scheduling. Per-worker costs and totals are merged after the
-// join in worker order.
-func (o *oneshotEstimator) estimateParallel() float64 {
-	split := rng.SplitterFrom(rng.Xoshiro, o.src)
-	for w := 0; w < o.workers; w++ {
-		o.totals[w] = 0
-	}
-	// Unlike the one-off Builds, Estimate is the greedy hot path (~n·k calls
-	// per selection), so the per-worker accumulators are cached on the
-	// estimator instead of going through parallel.ForCost's per-call slice.
-	parallel.For(o.workers, o.cfg.SampleNumber, func(w, i int) {
-		o.totals[w] += int64(o.sims[w].Run(o.scratch, split.Stream(uint64(i)), &o.costs[w]))
-	})
-	total := int64(0)
-	for w := 0; w < o.workers; w++ {
-		total += o.totals[w]
-		o.cost.Add(o.costs[w])
-		o.costs[w] = diffusion.Cost{}
-	}
-	return float64(total) / float64(o.cfg.SampleNumber)
+	return o.sim.EstimateInfluence(o.scratch, o.cfg.SampleNumber, o.cfg.Source, &o.cost)
 }
 
 func (o *oneshotEstimator) Update(v graph.VertexID) {

@@ -64,38 +64,58 @@ func buildFingerprint(t *testing.T, a Approach, model diffusion.Model, ig *graph
 	return out, est.Cost()
 }
 
-// TestParallelBuildDeterministic asserts the tentpole's determinism guarantee
-// at the estimator layer: with a fixed seed, a parallel build (Workers > 1)
-// reproduces identical estimates and an identical merged cost across repeated
-// runs AND across different parallel worker counts (2, 4, all CPUs), for all
-// three approaches under both IC and LT. Running it under -race also
-// exercises the concurrent Build paths.
-func TestParallelBuildDeterministic(t *testing.T) {
+// assertMatchesWorkers0 requires every listed worker count to reproduce the
+// estimates and the cost of Workers 0 for approach a under IC and LT.
+func assertMatchesWorkers0(t *testing.T, a Approach, workers []int) {
+	t.Helper()
 	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
 		ig := parallelTestGraph(t, model)
-		for _, a := range All() {
-			ref, refCost := buildFingerprint(t, a, model, ig, 4)
-			for run, workers := range map[string]int{"repeat4": 4, "workers2": 2, "allCPUs": -1} {
-				got, gotCost := buildFingerprint(t, a, model, ig, workers)
-				if gotCost != refCost {
-					t.Errorf("%v/%v %s: cost %+v != reference %+v", model, a, run, gotCost, refCost)
-				}
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Errorf("%v/%v %s: estimate[%d] = %v != reference %v", model, a, run, i, got[i], ref[i])
-						break
-					}
+		ref, refCost := buildFingerprint(t, a, model, ig, 0)
+		for _, w := range workers {
+			got, gotCost := buildFingerprint(t, a, model, ig, w)
+			if gotCost != refCost {
+				t.Errorf("%v/%v workers=%d: cost %+v != Workers=0 cost %+v", model, a, w, gotCost, refCost)
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Errorf("%v/%v workers=%d: estimate[%d] = %v != Workers=0 %v", model, a, w, i, got[i], ref[i])
+					break
 				}
 			}
 		}
 	}
 }
 
-// TestParallelCostMatchesSerialTotals checks exact cost accounting: the
-// merged per-worker accumulators of a parallel Snapshot/RIS build must count
-// the same sample-size totals a serial build of the same samples would (the
-// snapshots/RR sets differ — parallel mode draws different random numbers —
-// but for Snapshot the stored vertex count is τ·n regardless).
+// TestSerialPathUnchanged pins the Workers knob's serial equivalence: for
+// every approach under IC and LT, Workers 1 reproduces the estimates and the
+// cost of Workers 0.
+func TestSerialPathUnchanged(t *testing.T) {
+	for _, a := range All() {
+		assertMatchesWorkers0(t, a, []int{1})
+	}
+}
+
+// TestParallelBuildDeterministic pins the Workers contract for the
+// approaches that draw in sequence: Oneshot and Snapshot read the source one
+// number after another whatever Workers says, so Workers 2, 4 and -1 (all
+// CPUs) reproduce the estimates and the cost of Workers 0 under IC and LT.
+func TestParallelBuildDeterministic(t *testing.T) {
+	for _, a := range []Approach{Oneshot, Snapshot} {
+		assertMatchesWorkers0(t, a, []int{2, 4, -1})
+	}
+}
+
+// TestRISPoolIndependentOfWorkers pins the RIS stream derivation: RR set i
+// draws from stream i on however many goroutines build the pool, so Workers
+// 2, 4 and -1 reproduce the estimates and the cost of Workers 0 under IC and
+// LT. Running it under -race also exercises RIS's concurrent Build.
+func TestRISPoolIndependentOfWorkers(t *testing.T) {
+	assertMatchesWorkers0(t, RIS, []int{2, 4, -1})
+}
+
+// TestParallelCostMatchesSerialTotals checks exact cost accounting at a
+// worker count above one: a Snapshot build stores every vertex of each of its
+// τ live-edge graphs, so its sample-vertex count is τ·n.
 func TestParallelCostMatchesSerialTotals(t *testing.T) {
 	ig := parallelTestGraph(t, diffusion.IC)
 	est, err := New(Snapshot, Config{
@@ -109,52 +129,6 @@ func TestParallelCostMatchesSerialTotals(t *testing.T) {
 	}
 	wantVertices := int64(128 * ig.NumVertices())
 	if got := est.Cost().SampleVertices; got != wantVertices {
-		t.Errorf("parallel Snapshot build stored %d sample vertices, want %d", got, wantVertices)
-	}
-}
-
-// TestRISPoolIndependentOfWorkers pins the unified RIS stream derivation:
-// because every RR set draws from its own per-sample stream regardless of
-// mode, a fixed seed must yield byte-identical estimates and costs across
-// serial (0, 1) AND parallel (2, -1) worker counts. This is the guarantee
-// the serving stack leans on — a sketch built at any Workers value answers
-// identically.
-func TestRISPoolIndependentOfWorkers(t *testing.T) {
-	for _, model := range []diffusion.Model{diffusion.IC, diffusion.LT} {
-		ig := parallelTestGraph(t, model)
-		ref, refCost := buildFingerprint(t, RIS, model, ig, 0)
-		for _, workers := range []int{1, 2, 4, -1} {
-			got, gotCost := buildFingerprint(t, RIS, model, ig, workers)
-			if gotCost != refCost {
-				t.Errorf("%v workers=%d: cost %+v != serial cost %+v", model, workers, gotCost, refCost)
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Errorf("%v workers=%d: estimate[%d] = %v != serial %v", model, workers, i, got[i], ref[i])
-					break
-				}
-			}
-		}
-	}
-}
-
-// TestSerialPathUnchanged pins the Workers knob's serial equivalence:
-// Workers 0 and 1 must produce identical estimates and cost (for RIS both
-// now run the unified per-sample stream derivation; for Oneshot and Snapshot
-// both run the paper's sequential draws).
-func TestSerialPathUnchanged(t *testing.T) {
-	ig := parallelTestGraph(t, diffusion.IC)
-	for _, a := range All() {
-		ref, refCost := buildFingerprint(t, a, diffusion.IC, ig, 0)
-		got, gotCost := buildFingerprint(t, a, diffusion.IC, ig, 1)
-		if gotCost != refCost {
-			t.Errorf("%v: Workers=1 cost %+v != Workers=0 cost %+v", a, gotCost, refCost)
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Errorf("%v: Workers=1 estimate[%d] differs from Workers=0", a, i)
-				break
-			}
-		}
+		t.Errorf("Snapshot build at 4 workers stored %d sample vertices, want %d", got, wantVertices)
 	}
 }

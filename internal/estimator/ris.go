@@ -58,17 +58,17 @@ func newRIS(cfg Config) *risEstimator {
 // edge coin flips from its own stream derived from a splitter seeded once
 // from the configured source (Section 4.1's two-PRNG discipline collapsed
 // onto per-sample streams), so the pool of RR sets — and hence every later
-// estimate — is identical for every Workers value: serial and parallel runs
-// of the same seed produce byte-identical RR pools. Workers 0 and 1 run the
+// estimate — is identical for every Workers value. Workers 0 and 1 run the
 // loop on the calling goroutine; larger values fan the samples out over a
 // worker pool, each worker owning one sampler (scratch buffers) and one cost
-// accumulator, merged exactly after the join.
+// accumulator, merged exactly after the join. The pool is the one
+// core.NewOracleParallel draws from an equal source.
 func (r *risEstimator) build() {
 	split := rng.SplitterFrom(rng.Xoshiro, r.cfg.Source)
 	workers := parallel.Resolve(r.cfg.Workers, r.cfg.SampleNumber)
-	samplers := make([]reverseSampler, workers)
+	samplers := make([]diffusion.ReverseSampler, workers)
 	for w := range samplers {
-		samplers[w] = newReverseSampler(r.cfg)
+		samplers[w] = diffusion.NewReverseSampler(r.cfg.Graph, r.cfg.Model)
 	}
 	parallel.ForCost(workers, r.cfg.SampleNumber, &r.cost, func(w, i int, cost *diffusion.Cost) {
 		src := split.Stream(uint64(i))

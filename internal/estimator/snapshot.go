@@ -3,8 +3,6 @@ package estimator
 import (
 	"imdist/internal/diffusion"
 	"imdist/internal/graph"
-	"imdist/internal/parallel"
-	"imdist/internal/rng"
 )
 
 // snapshotEstimator implements Algorithm 3.3: Build samples τ live-edge
@@ -42,20 +40,10 @@ func newSnapshot(cfg Config) *snapshotEstimator {
 		visited:   make([]uint32, n),
 		queue:     make([]graph.VertexID, 0, 64),
 	}
-	// Build: generate τ random graphs from G (Algorithm 3.3 line 2). Under
-	// the LT model the random graphs come from the at-most-one-in-edge
-	// live-edge characterization instead of independent edge coins.
-	if cfg.parallelEnabled() {
-		split := rng.SplitterFrom(rng.Xoshiro, cfg.Source)
-		workers := parallel.Resolve(cfg.Workers, cfg.SampleNumber)
-		parallel.ForCost(workers, cfg.SampleNumber, &s.cost, func(_, i int, cost *diffusion.Cost) {
-			s.snapshots[i] = sampleSnapshot(cfg, split.Stream(uint64(i)), cost)
-		})
-		for i := range s.covered {
-			s.covered[i] = make([]uint64, words)
-		}
-		return s
-	}
+	// Build: generate τ random graphs from G (Algorithm 3.3 line 2), drawing
+	// from the source in sequence. Under the LT model the random graphs come
+	// from the at-most-one-in-edge live-edge characterization instead of
+	// independent edge coins.
 	for i := 0; i < cfg.SampleNumber; i++ {
 		s.snapshots[i] = sampleSnapshot(cfg, cfg.Source, &s.cost)
 		s.covered[i] = make([]uint64, words)

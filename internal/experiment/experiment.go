@@ -91,11 +91,11 @@ func ScaleFor(p Preset) (Scale, error) {
 type Env struct {
 	Scale      Scale
 	MasterSeed uint64
-	// Workers is the sampling parallelism forwarded to every estimator build
-	// and oracle build the experiments perform (see estimator.Config.Workers).
-	// 0 and 1 reproduce the serial harness; parallel runs are deterministic
-	// for a fixed master seed but draw different random numbers than serial
-	// ones, so published serial artefacts are only reproduced at Workers <= 1.
+	// Workers is the goroutine count forwarded to every study
+	// (core.RunConfig.Workers, which fans trials out), oracle build and
+	// estimator build the experiments perform; negative values use every
+	// CPU. It changes speed only: every experiment prints the same bytes at
+	// every worker count.
 	Workers int
 
 	graphs  map[string]*graph.InfluenceGraph

@@ -3,7 +3,9 @@ package experiment
 import (
 	"bytes"
 	"errors"
-	"strings"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"imdist/internal/data"
@@ -132,28 +134,40 @@ func TestFormattingHelpers(t *testing.T) {
 	}
 }
 
-// TestRunEveryExperimentUnitPreset smoke-tests every registered experiment at
-// the unit preset: it must run without error and produce non-trivial output.
-// This is the cheap end-to-end check that every paper artefact is
-// regenerable; the small and paper presets use the same code paths.
+// update rewrites the golden files of TestRunEveryExperimentUnitPreset:
+// go test ./internal/experiment -run TestRunEveryExperimentUnitPreset -update
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// TestRunEveryExperimentUnitPreset pins every registered experiment at the
+// unit preset: its output must equal testdata/<id>.golden byte for byte. The
+// files, each followed by a blank line in registry order, are what
+// `imexp -all -preset unit` prints. The run uses 3 workers; since Workers
+// changes speed and never an answer, the same files pin every worker count.
 func TestRunEveryExperimentUnitPreset(t *testing.T) {
 	if testing.Short() {
-		t.Skip("experiment smoke test skipped in -short mode")
+		t.Skip("experiment golden test skipped in -short mode")
 	}
 	env := unitEnv(t)
+	env.Workers = 3
 	for _, e := range Registry() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := Run(&buf, e.ID, env); err != nil {
 				t.Fatalf("experiment %s failed: %v", e.ID, err)
 			}
-			out := buf.String()
-			if len(strings.Split(strings.TrimSpace(out), "\n")) < 3 {
-				t.Errorf("experiment %s produced too little output:\n%s", e.ID, out)
+			path := filepath.Join("testdata", e.ID+".golden")
+			if *update {
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
 			}
-			if !strings.Contains(out, "# "+e.ID) {
-				t.Errorf("experiment %s output missing header", e.ID)
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("experiment %s output differs from %s:\n got:\n%s\nwant:\n%s", e.ID, path, buf.Bytes(), want)
 			}
 		})
 	}

@@ -20,11 +20,10 @@ func parallelTestNetwork(t testing.TB) *InfluenceNetwork {
 	return ig
 }
 
-// TestSelectSeedsParallelDeterminism is the acceptance check of the parallel
-// engine at the API boundary: with a fixed seed, Workers: 4 produces
-// byte-identical seed sets and exact merged cost totals across repeated runs,
-// and the result is also independent of the parallel worker count.
-func TestSelectSeedsParallelDeterminism(t *testing.T) {
+// assertSeedsMatchWorkers0 requires every listed worker count to reproduce
+// the seed set and the cost of Workers 0 for every approach, at a fixed seed.
+func assertSeedsMatchWorkers0(t *testing.T, workers []int) {
+	t.Helper()
 	ig := parallelTestNetwork(t)
 	cases := []struct {
 		approach Approach
@@ -40,95 +39,83 @@ func TestSelectSeedsParallelDeterminism(t *testing.T) {
 			SeedSize:     4,
 			SampleNumber: c.samples,
 			Seed:         99,
-			Workers:      4,
 		}
 		ref, err := ig.SelectSeeds(opt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.approach, err)
 		}
-		for run := 0; run < 2; run++ {
+		for _, w := range workers {
+			opt.Workers = w
 			got, err := ig.SelectSeeds(opt)
 			if err != nil {
-				t.Fatalf("%s run %d: %v", c.approach, run, err)
+				t.Fatalf("%s workers=%d: %v", c.approach, w, err)
 			}
 			if !reflect.DeepEqual(got.Seeds, ref.Seeds) {
-				t.Errorf("%s run %d: seeds %v != %v", c.approach, run, got.Seeds, ref.Seeds)
+				t.Errorf("%s workers=%d: seeds %v != Workers=0 seeds %v", c.approach, w, got.Seeds, ref.Seeds)
 			}
 			if got.Cost != ref.Cost {
-				t.Errorf("%s run %d: cost %+v != %+v", c.approach, run, got.Cost, ref.Cost)
-			}
-		}
-		for _, workers := range []int{2, -1} {
-			opt.Workers = workers
-			got, err := ig.SelectSeeds(opt)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", c.approach, workers, err)
-			}
-			if !reflect.DeepEqual(got.Seeds, ref.Seeds) {
-				t.Errorf("%s workers=%d: seeds %v != Workers=4 seeds %v", c.approach, workers, got.Seeds, ref.Seeds)
-			}
-			if got.Cost != ref.Cost {
-				t.Errorf("%s workers=%d: cost %+v != Workers=4 cost %+v", c.approach, workers, got.Cost, ref.Cost)
+				t.Errorf("%s workers=%d: cost %+v != Workers=0 cost %+v", c.approach, w, got.Cost, ref.Cost)
 			}
 		}
 	}
 }
 
-// TestSelectSeedsSerialUnchangedByKnob pins backward compatibility: leaving
-// Workers at its zero value must reproduce exactly what Workers: 1 produces
-// (the pre-knob serial algorithms).
+// TestSelectSeedsParallelDeterminism is the acceptance check of the Workers
+// contract at the API boundary: for every approach and a fixed seed, Workers
+// 2, 4 and -1 reproduce the seed set and cost of Workers 0, and so does a
+// repeated Workers 4 run. Workers changes speed, never an answer.
+func TestSelectSeedsParallelDeterminism(t *testing.T) {
+	assertSeedsMatchWorkers0(t, []int{4, 4, 2, -1})
+}
+
+// TestSelectSeedsSerialUnchangedByKnob pins backward compatibility: for every
+// approach, leaving Workers at its zero value reproduces exactly what
+// Workers 1 produces.
 func TestSelectSeedsSerialUnchangedByKnob(t *testing.T) {
-	ig := parallelTestNetwork(t)
-	opt := SeedOptions{Approach: Snapshot, SeedSize: 3, SampleNumber: 32, Seed: 5}
-	ref, err := ig.SelectSeeds(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Workers = 1
-	got, err := ig.SelectSeeds(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Seeds, ref.Seeds) || got.Cost != ref.Cost {
-		t.Errorf("Workers=1 result %+v differs from zero-value result %+v", got, ref)
-	}
+	assertSeedsMatchWorkers0(t, []int{1})
 }
 
-// TestStudyDistributionParallelDeterminism checks the study harness: a
-// parallel study reproduces identical entropies, per-trial influences and
-// mean costs across repeated runs.
+// TestStudyDistributionParallelDeterminism checks the study harness: for
+// every approach, a study whose trials fan out over 1, 2, 3 or all CPUs
+// reproduces the entropies, per-trial influences and mean costs of the
+// Workers 0 study.
 func TestStudyDistributionParallelDeterminism(t *testing.T) {
 	ig := parallelTestNetwork(t)
 	oracle, err := ig.NewInfluenceOracleWithOptions(OracleOptions{RRSets: 20000, Seed: 3, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := StudyOptions{
-		Approach:     RIS,
-		SeedSize:     3,
-		SampleNumber: 1024,
-		Trials:       8,
-		Seed:         7,
-		Oracle:       oracle,
-		Workers:      4,
-	}
-	ref, err := ig.StudyDistribution(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ig.StudyDistribution(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Errorf("repeated parallel study differs:\n got %+v\nwant %+v", got, ref)
+	samples := map[Approach]int{Oneshot: 8, Snapshot: 16, RIS: 1024}
+	for _, approach := range Approaches() {
+		opt := StudyOptions{
+			Approach:     approach,
+			SeedSize:     3,
+			SampleNumber: samples[approach],
+			Trials:       8,
+			Seed:         7,
+			Oracle:       oracle,
+		}
+		ref, err := ig.StudyDistribution(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", approach, err)
+		}
+		for _, workers := range []int{1, 2, 3, -1} {
+			opt.Workers = workers
+			got, err := ig.StudyDistribution(opt)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", approach, workers, err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s workers=%d: study differs from Workers=0:\n got %+v\nwant %+v", approach, workers, got, ref)
+			}
+		}
 	}
 }
 
 // TestOracleParallelDeterminism checks that an oracle build is byte-identical
-// across runs and across every worker count — serial (0, 1) included, since
-// each RR set draws from its own per-sample stream regardless of mode — as
-// observed through its influence estimates.
+// across runs and across every worker count, 0 and 1 included, since each RR
+// set draws from its own stream, as observed through its influence
+// estimates.
 func TestOracleParallelDeterminism(t *testing.T) {
 	ig := parallelTestNetwork(t)
 	probe := []int{0, 1, 2, 3, 50, 100}
@@ -151,7 +138,7 @@ func TestOracleParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSelectSeedsParallelLT exercises the parallel engine under the Linear
+// TestSelectSeedsParallelLT exercises a Workers 4 run under the Linear
 // Threshold model through the public API.
 func TestSelectSeedsParallelLT(t *testing.T) {
 	network, err := GenerateBA(200, 2, 8)
