@@ -329,22 +329,3 @@ func BenchmarkSimulateKarateLike(b *testing.B) {
 		sim.Run([]graph.VertexID{0}, src, nil)
 	}
 }
-
-func BenchmarkRRSet(b *testing.B) {
-	builder := graph.NewBuilder(200)
-	for u := 0; u < 200; u++ {
-		for d := 1; d <= 5; d++ {
-			_ = builder.AddEdge(graph.VertexID(u), graph.VertexID((u+d)%200))
-		}
-	}
-	ig, err := workload.Assign(builder.Build(), workload.IWC, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sampler := NewRRSampler(ig)
-	t1, t2 := rng.NewXoshiro(1), rng.NewXoshiro(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sampler.Sample(t1, t2, nil)
-	}
-}

@@ -30,8 +30,10 @@ func NewSimulator(g *graph.InfluenceGraph) *Simulator {
 
 // Run performs one forward IC simulation from the given seed set and returns
 // the number of activated vertices (including the seeds themselves, with
-// duplicate seeds counted once). Each examined edge consumes one uniform
-// random number from src, matching the Oneshot PRNG discipline of §4.1.
+// duplicate seeds counted once). Each examined edge into a vertex not yet
+// active consumes one uniform random number from src, in scan order, matching
+// the Oneshot PRNG discipline of §4.1; an edge into an active vertex draws
+// none.
 // Traversal cost is accumulated into cost when non-nil: every activated
 // vertex is one vertex examination and every outgoing edge of an activated
 // vertex is one edge examination.

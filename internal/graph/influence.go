@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+
+	"imdist/internal/rng"
 )
 
 // ErrProbabilityRange reports an edge probability outside (0, 1].
@@ -20,6 +22,9 @@ type InfluenceGraph struct {
 	outProb []float64
 	// inProb[i] is the probability of the edge stored at inAdj[i].
 	inProb []float64
+	// inThr[i] is rng.Threshold(inProb[i]), the integer form of the edge's
+	// coin test that reverse sampling reads.
+	inThr []uint64
 
 	sumProb float64
 }
@@ -54,7 +59,17 @@ func NewInfluenceGraph(g *Graph, assign func(from, to VertexID) float64) (*Influ
 			ig.inProb[int(base)+i] = ig.outProb[forwardSlot(g, u, VertexID(w))]
 		}
 	}
+	ig.inThr = thresholds(ig.inProb)
 	return ig, nil
+}
+
+// thresholds returns rng.Threshold of every probability in probs.
+func thresholds(probs []float64) []uint64 {
+	thr := make([]uint64, len(probs))
+	for i, p := range probs {
+		thr[i] = rng.Threshold(p)
+	}
+	return thr
 }
 
 // forwardSlot returns the index into outProb/outAdj of an edge (u, w).
@@ -87,6 +102,14 @@ func (ig *InfluenceGraph) InProbabilities(v VertexID) []float64 {
 	return ig.inProb[ig.inIdx[v]:ig.inIdx[v+1]]
 }
 
+// InThresholds returns the coin thresholds aligned with InNeighbors(v):
+// rng.Threshold of each in-edge's probability, so that rng.Below(u,
+// InThresholds(v)[i]) is the edge's coin under the draw u. The returned slice
+// aliases internal storage and must not be modified.
+func (ig *InfluenceGraph) InThresholds(v VertexID) []uint64 {
+	return ig.inThr[ig.inIdx[v]:ig.inIdx[v+1]]
+}
+
 // SumProbabilities returns m̃ = Σ_e p(e), the expected number of live edges in
 // a random live-edge graph. The paper uses m̃ both as the Snapshot sample-size
 // unit and to explain the traversal-cost ratio m̃/m.
@@ -99,6 +122,7 @@ func (ig *InfluenceGraph) Transpose() *InfluenceGraph {
 		Graph:   ig.Graph.Transpose(),
 		outProb: append([]float64(nil), ig.inProb...),
 		inProb:  append([]float64(nil), ig.outProb...),
+		inThr:   thresholds(ig.outProb),
 		sumProb: ig.sumProb,
 	}
 }

@@ -119,6 +119,27 @@ func float64FromUint64(u uint64) float64 {
 	return float64(u>>11) / (1 << 53)
 }
 
+// Threshold returns the integer form of the coin test Float64() < p: for
+// every 64-bit value u, Below(u, Threshold(p)) is 1 exactly when
+// float64FromUint64(u) < p. It is ceil(p·2^53) clamped to [0, 2^53]; the test
+// is exact because scaling by a power of two rounds nothing in float64, and
+// an integer is below a real exactly when it is below the real's ceiling.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below returns 1 when the coin of the 64-bit value u comes up against thr, a
+// Threshold, and 0 otherwise. It computes the bit without a branch.
+func Below(u, thr uint64) uint64 {
+	return ((u >> 11) - thr) >> 63
+}
+
 // intnFromUint64 maps a random 64-bit value to [0, n) with negligible bias
 // for the n used here (n < 2^32 in all workloads).
 func intnFromUint64(u uint64, n int) int {

@@ -47,6 +47,53 @@ func TestXoshiroReproducible(t *testing.T) {
 	}
 }
 
+// TestXoshiroFillMatchesUint64 pins Fill to the Uint64 sequence across block
+// lengths, including the empty block and blocks that do not divide the run.
+func TestXoshiroFillMatchesUint64(t *testing.T) {
+	a, b := NewXoshiro(9), NewXoshiro(9)
+	for _, n := range []int{0, 1, 7, 64, 3, 200} {
+		block := make([]uint64, n)
+		a.Fill(block)
+		for i, got := range block {
+			if want := b.Uint64(); got != want {
+				t.Fatalf("block of %d, value %d: Fill gave %d, Uint64 %d", n, i, got, want)
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("Fill left the generator at a different state than Uint64")
+	}
+}
+
+// TestCoinThresholdExact checks the identity the IC RR sampler's coin test
+// rests on: for a probability p and a 53-bit value k, Below(k<<11,
+// Threshold(p)) is 1 exactly when the Float64 of k<<11 is below p. It checks
+// every k within two of the threshold, for certain, dyadic (p·2^53
+// integral), decimal and repeating probabilities, the extremes of float64,
+// and 1/d for every in-degree d a generated workload graph can have.
+func TestCoinThresholdExact(t *testing.T) {
+	probs := []float64{
+		1, 0.5, 0.1, 1.0 / 3, 0.375, 0.01, 0.001,
+		math.SmallestNonzeroFloat64, math.Nextafter(1, 0),
+		1.0 / (1 << 53), 1.5 / (1 << 53), math.Nextafter(1.0/(1<<53), 1),
+	}
+	for d := 1; d <= 1<<17; d++ {
+		probs = append(probs, 1/float64(d))
+	}
+	for _, p := range probs {
+		thr := Threshold(p)
+		for k := max(thr, 2) - 2; k <= thr+1 && k < 1<<53; k++ {
+			if got, want := Below(k<<11, thr) == 1, float64FromUint64(k<<11) < p; got != want {
+				t.Fatalf("p=%v, k=%d: Below(k<<11, Threshold(p)=%d) is %v, Float64 < p is %v", p, k, thr, got, want)
+			}
+		}
+	}
+	if Threshold(1) != 1<<53 || Threshold(math.SmallestNonzeroFloat64) != 1 {
+		t.Errorf("Threshold(1) = %d, Threshold(min float64) = %d; want 2^53 and 1",
+			Threshold(1), Threshold(math.SmallestNonzeroFloat64))
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	for _, alg := range []Algorithm{MersenneTwister, Xoshiro} {
 		a := New(alg, 1)

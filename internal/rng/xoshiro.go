@@ -46,6 +46,24 @@ func (x *Xoshiro256) Uint64() uint64 {
 	return result
 }
 
+// Fill writes the next len(dst) outputs to dst, in the order len(dst) calls of
+// Uint64 would return them. It keeps the state in registers for the whole
+// run instead of loading and storing it for every value.
+func (x *Xoshiro256) Fill(dst []uint64) {
+	s0, s1, s2, s3 := x.s[0], x.s[1], x.s[2], x.s[3]
+	for i := range dst {
+		dst[i] = rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	x.s = [4]uint64{s0, s1, s2, s3}
+}
+
 func rotl(v uint64, k uint) uint64 { return (v << k) | (v >> (64 - k)) }
 
 // Float64 returns a uniformly distributed value in [0, 1).
