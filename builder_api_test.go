@@ -160,8 +160,8 @@ func TestBuildSketchWithCheckpointFile(t *testing.T) {
 }
 
 // TestBuildSketchWithCheckpointSpill runs the same checkpointed build in
-// spill mode with a deliberately tiny memory budget and requires the result
-// to be byte-identical to the in-memory build — the public face of the
+// spill mode, which keeps no set in memory, and requires the result to be
+// byte-identical to the in-memory build — the public face of the
 // larger-than-RAM build pipeline.
 func TestBuildSketchWithCheckpointSpill(t *testing.T) {
 	ig := karateUC(t)
@@ -169,10 +169,9 @@ func TestBuildSketchWithCheckpointSpill(t *testing.T) {
 	var spilled int64
 	oracle, sum, err := ig.BuildSketchWithCheckpoint(context.Background(), path, OracleOptions{Seed: 31, Workers: 2},
 		BuildOptions{
-			MaxSets:   3000,
-			Spill:     true,
-			MemBudget: 4 << 10,
-			Progress:  func(p BuildProgress) { spilled = p.SpillBytes },
+			MaxSets:  3000,
+			Spill:    true,
+			Progress: func(p BuildProgress) { spilled = p.SpillBytes },
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -10,11 +10,11 @@
 // and continue after a crash or restart (-resume); the finished sketch is
 // byte-identical to an uninterrupted build either way.
 //
-// Builds larger than RAM run with -spill: every batch streams to the
-// checkpoint file as it is generated and only a -mem-budget working set of
-// decoded RR sets stays in memory, so peak RSS is bounded by the budget plus
-// one in-flight batch rather than the full sketch. Spill output is
-// byte-identical to the in-memory build of the same seed.
+// Builds larger than RAM run with -spill: every batch of at most 2^16 RR sets
+// streams to the checkpoint file as it is generated and no set stays in
+// memory, so sampling holds about one batch rather than the full sketch; the
+// member index, built from the file at the end, is what peaks. Spill output
+// is byte-identical to the in-memory build of the same seed.
 //
 // Usage:
 //
@@ -23,7 +23,7 @@
 //	imsketch -dataset Karate -target-eps 0.05 -rr 5000000 -progress -out karate.sketch
 //	imsketch -graph big.txt -rr 100000000 -checkpoint big.ckpt -out big.sketch
 //	imsketch -graph big.txt -rr 100000000 -checkpoint big.ckpt -resume -out big.sketch
-//	imsketch -graph big.txt -rr 100000000 -spill -mem-budget 256MiB -out big.sketch
+//	imsketch -graph big.txt -rr 100000000 -spill -out big.sketch
 //	imsketch -info karate.sketch
 //	imsketch -split 4 big.sketch
 //
@@ -53,8 +53,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"imdist"
@@ -89,39 +87,11 @@ type buildReport struct {
 	WallMillis int64   `json:"wall_ms"`
 	Bytes      int64   `json:"sketch_bytes"`
 	// Spill builds additionally record the disk/memory split: the spill
-	// file's final size, the configured working-set budget, and the process
-	// peak RSS (0 where the platform cannot report it).
-	Spill          bool  `json:"spill,omitempty"`
-	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
-	SpillBytes     int64 `json:"spill_bytes,omitempty"`
-	PeakRSSBytes   int64 `json:"peak_rss_bytes,omitempty"`
-}
-
-// parseByteSize parses a human byte count: a plain integer is bytes, and the
-// binary suffixes K/KB/KiB, M/MB/MiB, G/GB/GiB scale by 2^10/2^20/2^30. A
-// negative value means "unbounded" to -mem-budget.
-func parseByteSize(s string) (int64, error) {
-	num, mult := strings.TrimSpace(s), int64(1)
-	upper := strings.ToUpper(num)
-	for _, suf := range []struct {
-		name string
-		mul  int64
-	}{
-		{"KIB", 1 << 10}, {"MIB", 1 << 20}, {"GIB", 1 << 30},
-		{"KB", 1 << 10}, {"MB", 1 << 20}, {"GB", 1 << 30},
-		{"K", 1 << 10}, {"M", 1 << 20}, {"G", 1 << 30},
-	} {
-		if strings.HasSuffix(upper, suf.name) {
-			mult = suf.mul
-			num = strings.TrimSpace(num[:len(num)-len(suf.name)])
-			break
-		}
-	}
-	n, err := strconv.ParseInt(num, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad byte size %q (want e.g. 1048576, 256KiB, 64M)", s)
-	}
-	return n * mult, nil
+	// file's final size and the process peak RSS (0 where the platform
+	// cannot report it).
+	Spill        bool  `json:"spill,omitempty"`
+	SpillBytes   int64 `json:"spill_bytes,omitempty"`
+	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
 }
 
 func run(args []string) error {
@@ -142,8 +112,7 @@ func run(args []string) error {
 		boundK     = fs.Int("k", 10, "seed-set size the -target-eps error bound targets")
 		checkpoint = fs.String("checkpoint", "", "append-only build checkpoint file, durably extended every batch")
 		resume     = fs.Bool("resume", false, "continue the build from an existing -checkpoint file")
-		spill      = fs.Bool("spill", false, "stream RR sets to the checkpoint file as they are built (default <out>.spill) and keep only -mem-budget bytes decoded in memory")
-		memBudget  = fs.String("mem-budget", "64MiB", "spill working-set budget, e.g. 256KiB or 1G (negative = unbounded; only with -spill)")
+		spill      = fs.Bool("spill", false, "stream RR sets to the checkpoint file as they are built (default <out>.spill) and keep none in memory")
 		progress   = fs.Bool("progress", false, "log build rounds to stderr")
 		report     = fs.String("report", "", "write a JSON build report (sets, wall time, achieved bound) to this path")
 	)
@@ -161,13 +130,6 @@ func run(args []string) error {
 	}
 	if *out == "" {
 		return fmt.Errorf("-out is required (or use -info to inspect a sketch)")
-	}
-	var budget int64
-	if *spill {
-		var perr error
-		if budget, perr = parseByteSize(*memBudget); perr != nil {
-			return fmt.Errorf("-mem-budget: %w", perr)
-		}
 	}
 	// A spill build without an explicit checkpoint keeps its scratch file next
 	// to the sketch and removes it once the sketch is durable; an explicit
@@ -222,7 +184,6 @@ func run(args []string) error {
 		K:         *boundK,
 		MaxSets:   *rr,
 		Spill:     *spill,
-		MemBudget: budget,
 	}
 	// The first progress report of a resumed build carries the durable set
 	// count with nothing appended yet; capture it for the report instead of
@@ -281,8 +242,7 @@ func run(args []string) error {
 		os.Remove(*checkpoint)
 	}
 	if *spill {
-		fmt.Printf("spill build: %d bytes streamed to disk, working-set budget %s, peak RSS %d MiB\n",
-			spillBytes, *memBudget, peakRSS()>>20)
+		fmt.Printf("spill build: %d bytes streamed to disk, peak RSS %d MiB\n", spillBytes, peakRSS()>>20)
 	}
 	fmt.Printf("sketch: n=%d rr_sets=%d model=%s seed=%d (99%% CI +/- %.3f)\n",
 		oracle.NumVertices(), oracle.NumRRSets(), oracle.Model(), oracle.BuildSeed(),
@@ -316,7 +276,6 @@ func run(args []string) error {
 		}
 		if *spill {
 			r.Spill = true
-			r.MemBudgetBytes = budget
 			r.SpillBytes = spillBytes
 			r.PeakRSSBytes = peakRSS()
 		}

@@ -174,38 +174,10 @@ func TestCheckpointResumeBuildsIdenticalSketch(t *testing.T) {
 	}
 }
 
-func TestParseByteSize(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int64
-		ok   bool
-	}{
-		{"1048576", 1 << 20, true},
-		{"256KiB", 256 << 10, true},
-		{"64MiB", 64 << 20, true},
-		{"64M", 64 << 20, true},
-		{"2g", 2 << 30, true},
-		{" 1 GB ", 1 << 30, true},
-		{"-1", -1, true},
-		{"", 0, false},
-		{"MiB", 0, false},
-		{"12XB", 0, false},
-	}
-	for _, tc := range cases {
-		got, err := parseByteSize(tc.in)
-		if tc.ok && (err != nil || got != tc.want) {
-			t.Errorf("parseByteSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("parseByteSize(%q) accepted", tc.in)
-		}
-	}
-}
-
 // TestSpillBuildMatchesStraight runs the same fixed-size build straight and
-// with -spill under a tiny budget: the sketches must be byte-identical, the
-// report must record the spill footprint, and the scratch spill file must be
-// gone once the sketch is written.
+// with -spill: the sketches must be byte-identical, the report must record
+// the spill footprint, and the scratch spill file must be gone once the
+// sketch is written.
 func TestSpillBuildMatchesStraight(t *testing.T) {
 	dir := t.TempDir()
 	straight := filepath.Join(dir, "straight.sketch")
@@ -220,7 +192,7 @@ func TestSpillBuildMatchesStraight(t *testing.T) {
 
 	spilled := filepath.Join(dir, "spilled.sketch")
 	report := filepath.Join(dir, "spill.json")
-	if err := run(append(common, "-out", spilled, "-spill", "-mem-budget", "4KiB", "-report", report)); err != nil {
+	if err := run(append(common, "-out", spilled, "-spill", "-report", report)); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(spilled); !bytes.Equal(got, want) {
@@ -237,7 +209,7 @@ func TestSpillBuildMatchesStraight(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Spill || rep.MemBudgetBytes != 4<<10 || rep.SpillBytes <= 0 {
+	if !rep.Spill || rep.SpillBytes <= 0 {
 		t.Errorf("report spill fields = %+v", rep)
 	}
 	if rep.Sets != 6000 {
@@ -257,9 +229,9 @@ func TestSpillBuildMatchesStraight(t *testing.T) {
 	if err := run([]string{"-info", kept}); err != nil {
 		t.Errorf("-info on kept spill file: %v", err)
 	}
-	// Bad budgets are rejected up front.
-	if err := run(append(common, "-out", spilled, "-spill", "-mem-budget", "lots")); err == nil {
-		t.Error("bad -mem-budget accepted")
+	// The memory-budget flag is gone; passing it is a usage error.
+	if err := run(append(common, "-out", spilled, "-spill", "-mem-budget", "4KiB")); err == nil {
+		t.Error("removed -mem-budget flag accepted")
 	}
 }
 

@@ -654,17 +654,14 @@ type BuildOptions struct {
 	MaxSets int
 	// Progress, when non-nil, observes every build round.
 	Progress func(BuildProgress)
-	// Spill makes BuildSketchWithCheckpoint keep only a bounded working set
-	// of decoded RR sets in memory, reading the rest back from the
-	// checkpoint file, so sketches far larger than RAM build within a fixed
-	// budget. Without it every set also stays on the heap. Both write the
-	// same v2 checkpoint file through the same writer, so interruption and
-	// resume work alike — and the finished sketch is byte-identical to an
-	// in-memory build.
+	// Spill makes BuildSketchWithCheckpoint keep no RR set in memory: each
+	// round's sets go to the checkpoint file, and the member index is built
+	// by decoding them back from it, so sketches far larger than RAM build.
+	// Without it every set also stays on the heap. Both write the same v2
+	// checkpoint file through the same writer, so interruption and resume
+	// work alike — and the finished sketch is byte-identical to an in-memory
+	// build.
 	Spill bool
-	// MemBudget bounds the spill working set in bytes: 0 selects the default
-	// (64 MiB), negative means unbounded. Ignored unless Spill is set.
-	MemBudget int64
 }
 
 func (opt BuildOptions) coreTarget() core.BuildTarget {
@@ -738,11 +735,12 @@ func (n *InfluenceNetwork) BuildSketchToTarget(opt OracleOptions, eps, delta flo
 // oracle is returned and left in place; remove it once the final sketch is
 // saved.
 //
-// A checkpointed build is a spill build whose working set is unbounded:
-// every set also stays decoded on the heap. With bopt.Spill set the working
-// set is bounded by bopt.MemBudget instead, so the build's memory use is
-// independent of the sketch's size; the file and the sketch are the same
-// either way. The returned oracle holds only its member index.
+// A checkpointed build keeps every set decoded on the heap beside the file
+// and appends in doubling rounds. With bopt.Spill set it keeps none and
+// appends at most 2^16 sets per round, so sampling holds about one round's
+// batch; finalizing still builds the whole member index on the heap. The
+// sketch is the same either way. The returned oracle holds only its member
+// index.
 func (n *InfluenceNetwork) BuildSketchWithCheckpoint(ctx context.Context, path string, opt OracleOptions, bopt BuildOptions) (*InfluenceOracle, BuildSummary, error) {
 	if n == nil || n.ig == nil {
 		return nil, BuildSummary{}, errNilNetwork
@@ -751,11 +749,11 @@ func (n *InfluenceNetwork) BuildSketchWithCheckpoint(ctx context.Context, path s
 	if err != nil {
 		return nil, BuildSummary{}, err
 	}
-	budget := int64(-1)
+	mode := int64(-1) // keep every set
 	if bopt.Spill {
-		budget = bopt.MemBudget
+		mode = 0 // keep none
 	}
-	b, store, res, err := sketchio.BuildSpill(ctx, path, n.ig, m, opt.Workers, opt.Seed, budget, bopt.coreTarget())
+	b, store, res, err := sketchio.BuildSpill(ctx, path, n.ig, m, opt.Workers, opt.Seed, mode, bopt.coreTarget())
 	if err != nil {
 		if store != nil {
 			_ = store.Close()

@@ -5,7 +5,7 @@
 //
 // The repo's correctness story rests on application-level contracts the Go
 // compiler cannot see — byte-identical answers across worker counts, kernels,
-// batch schedules and spill budgets, and strict resource hygiene on the
+// batch schedules and stores, and strict resource hygiene on the
 // sketch/checkpoint/spill files. The analyzers in the subpackages (nodet,
 // rngstream, lostclose, lockscope) verify those contracts at vet time; this
 // package gives them the Analyzer/Pass/Diagnostic vocabulary, the

@@ -3,7 +3,7 @@
 //
 // The determinism contract (docs/ARCHITECTURE.md) promises byte-identical
 // sketches and answers given (graph, model, seed) — across worker counts,
-// batch schedules, kernels and spill budgets. That only holds if the
+// batch schedules, kernels and stores. That only holds if the
 // deterministic core never consults ambient state: wall clocks, process
 // environment, globally-seeded generators, or Go's randomized map iteration
 // order. The compiler cannot check any of this; nodet does.

@@ -29,9 +29,9 @@ import (
 // (ResumeSketchBuilder) continues the very same sequence.
 //
 // Generated sets land in an RRStore. The default is the in-memory MemStore;
-// a spill store (internal/sketchio) streams every batch to disk and keeps
-// only a bounded working set resident, so the largest buildable sketch is
-// capped by disk, not RAM — the generated bytes are identical either way.
+// a spill store (internal/sketchio) streams every batch to disk and can keep
+// none of them resident, so the largest buildable sketch is capped by disk,
+// not RAM — the generated bytes are identical either way.
 //
 // A SketchBuilder is not safe for concurrent use; each batch parallelizes
 // internally across the builder's workers.
@@ -256,9 +256,9 @@ type BuildTarget struct {
 	// DefaultMinSets, clamped to MaxSets).
 	MinSets int
 	// MaxBatch caps the sets appended per round (default DefaultMaxBatch).
-	// The in-flight batch lives on the heap until the store persists it,
-	// independent of a spill store's budget, so a spill build with a bounded
-	// budget caps it lower (sketchio.BuildSpill).
+	// The in-flight batch lives on the heap until the store persists it, so
+	// a spill build, whose store keeps no sets, caps it lower
+	// (sketchio.BuildSpill).
 	MaxBatch int
 	// Progress, when non-nil, runs after every round with the build's
 	// current state — the hook checkpoint writers and job managers attach.

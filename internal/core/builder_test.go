@@ -22,12 +22,13 @@ func mustBuilder(t testing.TB, ig *graph.InfluenceGraph, workers int, seed uint6
 }
 
 // builderSets snapshots every RR set of b, in generation order, by streaming
-// its store.
+// its store and cloning each set: a set is valid only until the callback
+// returns.
 func builderSets(t testing.TB, b *SketchBuilder) [][]graph.VertexID {
 	t.Helper()
 	sets := make([][]graph.VertexID, 0, b.NumSets())
 	err := b.Store().ForEach(0, b.NumSets(), func(_ int, set []graph.VertexID) error {
-		sets = append(sets, set)
+		sets = append(sets, slices.Clone(set))
 		return nil
 	})
 	if err != nil {

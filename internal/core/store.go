@@ -11,10 +11,9 @@ import (
 // SketchBuilder appends to it and streams over it; the Oracle it finalizes
 // reads the store once, to build its member index, and keeps only that index.
 // No oracle reads a store after construction. The same build code therefore
-// serves both the in-memory store (MemStore) and a spill-to-disk store that
-// keeps only a bounded working set of decoded segments resident
-// (internal/sketchio's SpillStore), which lets a sketch far larger than RAM
-// build within a fixed memory budget.
+// serves both the in-memory store (MemStore) and a disk-backed store
+// (internal/sketchio's SpillStore) that can keep no set in memory and decode
+// every read from its file, which lets a sketch far larger than RAM build.
 //
 // Contract:
 //
@@ -24,9 +23,9 @@ import (
 //   - ForEach must be safe for concurrent use with itself and with one
 //     concurrent Append (the member-index transpose scans set ranges on
 //     several workers).
-//   - Slices handed out by ForEach are owned by the store and must not be
-//     modified; a spill store may hand out cached buffers it later drops, but
-//     never mutates in place.
+//   - A slice ForEach hands to fn is valid only until fn returns, and must
+//     not be modified: a disk-backed store decodes into a buffer it reuses
+//     for the next set. A caller that keeps a set copies it.
 //   - Append takes ownership of the batch and its element slices.
 type RRStore interface {
 	// NumSets returns the number of RR sets the store holds.
@@ -36,14 +35,12 @@ type RRStore interface {
 	// before returning.
 	Append(batch [][]graph.VertexID) error
 	// ForEach calls fn for every set index in [from, to) in ascending order,
-	// stopping at the first error and returning it. It is the only read path:
-	// a spill store decodes each non-resident segment once, in file order,
-	// without entering it into its working set.
+	// stopping at the first error and returning it. It is the only read path.
 	ForEach(from, to int, fn func(i int, set []graph.VertexID) error) error
 	// Stats reports the store's current footprint.
 	Stats() StoreStats
-	// Close releases the store's resources (file handles, mappings). Sets
-	// must not be read after Close. Closing a MemStore is a no-op.
+	// Close releases the store's resources (file handles). Sets must not be
+	// read after Close. Closing a MemStore is a no-op.
 	Close() error
 }
 
@@ -57,7 +54,8 @@ type StoreStats struct {
 	// its segment header without an extra pass over the data.
 	PayloadBytes int64
 	// MemBytes approximates the decoded bytes resident on the heap (all sets
-	// for MemStore, the cached working set for a spill store).
+	// for MemStore and for a spill store that keeps its sets, 0 for one that
+	// keeps none).
 	MemBytes int64
 	// SpillBytes is the number of bytes durably spilled to disk (0 for
 	// in-memory stores).

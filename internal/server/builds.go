@@ -86,13 +86,12 @@ type buildRequest struct {
 	// the heap.
 	Out string `json:"out,omitempty"`
 	// Spill streams every generated batch to a spill file next to Out
-	// (<out>.spill) instead of holding all RR sets on the heap, bounding the
-	// build's memory by MemBudgetBytes. Requires Out. The finished sketch is
-	// byte-identical to an in-memory build; the spill file is removed once
-	// the member index is built, before the sketch is written.
+	// (<out>.spill) and keeps no RR set on the heap: the member index is
+	// built by decoding the sets back from the file. Requires Out. The
+	// finished sketch is byte-identical to an in-memory build; the spill file
+	// is removed once the member index is built, before the sketch is
+	// written.
 	Spill bool `json:"spill,omitempty"`
-	// MemBudgetBytes bounds the spill working set (0 = the 64 MiB default).
-	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 	// Replace permits overwriting a sketch already loaded under Name;
 	// without it a duplicate name is rejected up front with 409.
 	Replace bool `json:"replace,omitempty"`
@@ -259,9 +258,6 @@ func (m *buildManager) validate(req *buildRequest) (msg string, status int) {
 	}
 	if req.TargetEps < 0 || req.Delta < 0 || req.Delta >= 1 {
 		return "target_eps must be >= 0 and delta in [0, 1)", http.StatusBadRequest
-	}
-	if req.MemBudgetBytes < 0 {
-		return "mem_budget_bytes must be >= 0", http.StatusBadRequest
 	}
 	if req.Spill && req.Out == "" {
 		return "spill requires out (the spill file lives next to the sketch)", http.StatusBadRequest
@@ -504,7 +500,8 @@ func buildOracle(ctx context.Context, req buildRequest, ig *graph.InfluenceGraph
 	if err := os.Remove(spillPath); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	b, store, _, err := sketchio.BuildSpill(ctx, spillPath, ig, model, req.Workers, req.Seed, req.MemBudgetBytes, target)
+	// Mode 0: the store keeps no set in memory.
+	b, store, _, err := sketchio.BuildSpill(ctx, spillPath, ig, model, req.Workers, req.Seed, 0, target)
 	if store != nil {
 		defer func() {
 			_ = store.Close()

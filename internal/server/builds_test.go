@@ -179,7 +179,7 @@ func TestAsyncSpillBuildServesSketch(t *testing.T) {
 	submit(fmt.Sprintf(
 		`{"name":"mem","dataset":"Karate","seed":11,"max_sets":5000,"workers":2,"out":%q}`, memOut))
 	final := submit(fmt.Sprintf(
-		`{"name":"spill","dataset":"Karate","seed":11,"max_sets":5000,"workers":2,"out":%q,"spill":true,"mem_budget_bytes":4096}`, spillOut))
+		`{"name":"spill","dataset":"Karate","seed":11,"max_sets":5000,"workers":2,"out":%q,"spill":true}`, spillOut))
 
 	if final.SpillBytes <= 0 {
 		t.Errorf("final status spill_bytes = %d, want > 0", final.SpillBytes)
@@ -230,7 +230,7 @@ func TestBuildSubmitValidation(t *testing.T) {
 		{"bad model", `{"name":"x","dataset":"Karate","model":"SIR","max_sets":100}`, http.StatusBadRequest},
 		{"bad delta", `{"name":"x","dataset":"Karate","max_sets":100,"delta":1.5}`, http.StatusBadRequest},
 		{"spill without out", `{"name":"x","dataset":"Karate","max_sets":100,"spill":true}`, http.StatusBadRequest},
-		{"negative mem budget", `{"name":"x","dataset":"Karate","max_sets":100,"mem_budget_bytes":-1}`, http.StatusBadRequest},
+		{"removed mem_budget_bytes field", `{"name":"x","dataset":"Karate","max_sets":100,"mem_budget_bytes":4096}`, http.StatusBadRequest},
 		{"unknown dataset is accepted at submit, fails async", `{"name":"x","dataset":"NoSuch","max_sets":100}`, http.StatusAccepted},
 	}
 	for _, tc := range cases {

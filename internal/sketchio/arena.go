@@ -18,19 +18,26 @@ type vertexArena struct {
 	chunk []graph.VertexID
 }
 
-// alloc returns a zeroed slice of n vertices carved from the arena.
-func (a *vertexArena) alloc(n int) []graph.VertexID {
+// clone returns a copy of set carved from the arena.
+func (a *vertexArena) clone(set []graph.VertexID) []graph.VertexID {
+	n := len(set)
 	if n == 0 {
 		return nil
 	}
 	if len(a.chunk) < n {
-		size := arenaChunkVertices
-		if n > size {
-			size = n
-		}
-		a.chunk = make([]graph.VertexID, size)
+		a.chunk = make([]graph.VertexID, max(n, arenaChunkVertices))
 	}
 	out := a.chunk[:n:n]
 	a.chunk = a.chunk[n:]
+	copy(out, set)
 	return out
+}
+
+// keep returns a readRecords callback that appends a copy of every set it is
+// handed to *sets.
+func (a *vertexArena) keep(sets *[][]graph.VertexID) func(int, []graph.VertexID) error {
+	return func(_ int, set []graph.VertexID) error {
+		*sets = append(*sets, a.clone(set))
+		return nil
+	}
 }

@@ -198,40 +198,40 @@ func parseSegmentHeader(hdr []byte, totalSoFar int) (segmentMeta, error) {
 }
 
 // readSegment decodes one segment from br, validating its CRC and every
-// vertex id against [0, n). It returns io.EOF at a clean end-of-stream (zero
-// bytes where a segment would start); every other failure — including a
-// partially written segment — is an error wrapping ErrCorrupt. count is the
-// segment's RR-set count, size its total encoded size, stored the verified
-// CRC-32C. The sets' backing storage comes from arena; with a nil arena the
-// records are validated but not materialized (sets is nil) — the Inspect and
-// spill-store-recovery paths.
-func readSegment(br *bufio.Reader, n, totalSoFar int, arena *vertexArena) (sets [][]graph.VertexID, count int, size int64, stored uint32, err error) {
+// vertex id against [0, n), and hands its sets to fn through readRecords (fn
+// may be nil to validate only). It returns io.EOF at a clean end-of-stream
+// (zero bytes where a segment would start); every other failure — including
+// a partially written segment — is an error wrapping ErrCorrupt. fn sees the
+// sets as they stream past, before the trailing CRC is checked, so a caller
+// that keeps them must drop the segment's sets when readSegment fails. count
+// is the segment's RR-set count, size its total encoded size, stored the
+// verified CRC-32C.
+func readSegment(br *bufio.Reader, n, totalSoFar int, fn func(i int, set []graph.VertexID) error) (count int, size int64, stored uint32, err error) {
 	hdr := make([]byte, segHeaderLen)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, 0, 0, 0, io.EOF // clean boundary
+			return 0, 0, 0, io.EOF // clean boundary
 		}
-		return nil, 0, 0, 0, readErr(err)
+		return 0, 0, 0, readErr(err)
 	}
 	s, err := parseSegmentHeader(hdr, totalSoFar)
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	crc := crc32.New(castagnoliTab)
 	crc.Write(hdr)
-	sets, err = readRecords(io.TeeReader(br, crc), n, s.count, s.payloadLen, arena)
-	if err != nil {
-		return nil, 0, 0, 0, err
+	if err := readRecords(io.TeeReader(br, crc), n, s.count, s.payloadLen, fn); err != nil {
+		return 0, 0, 0, err
 	}
 	var tail [4]byte
 	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return nil, 0, 0, 0, readErr(err)
+		return 0, 0, 0, readErr(err)
 	}
 	stored = binary.LittleEndian.Uint32(tail[:])
 	if stored != crc.Sum32() {
-		return nil, 0, 0, 0, ErrChecksum
+		return 0, 0, 0, ErrChecksum
 	}
-	return sets, s.count, segHeaderLen + int64(s.payloadLen) + 4, stored, nil
+	return s.count, segHeaderLen + int64(s.payloadLen) + 4, stored, nil
 }
 
 // writeSegment appends one CRC-framed segment holding sets to w.
@@ -304,16 +304,15 @@ func ReadCheckpoint(r io.Reader) (CheckpointMeta, [][]graph.VertexID, error) {
 		return CheckpointMeta{}, nil, err
 	}
 	var sets [][]graph.VertexID
-	arena := &vertexArena{}
+	keep := new(vertexArena).keep(&sets)
 	for {
-		segSets, _, _, _, err := readSegment(br, meta.N, len(sets), arena)
+		_, _, _, err := readSegment(br, meta.N, len(sets), keep)
 		if err == io.EOF {
 			return meta, sets, nil
 		}
 		if err != nil {
 			return CheckpointMeta{}, nil, err
 		}
-		sets = append(sets, segSets...)
 	}
 }
 

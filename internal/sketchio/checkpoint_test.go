@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"imdist/internal/core"
@@ -50,12 +51,13 @@ func setsRange(t testing.TB, b *core.SketchBuilder, from, to int) [][]graph.Vert
 	return storeSets(t, b.Store(), from, to)
 }
 
-// storeSets snapshots a store's RR sets in [from, to) through ForEach.
+// storeSets snapshots a store's RR sets in [from, to) through ForEach,
+// cloning each: a set is valid only until the callback returns.
 func storeSets(t testing.TB, s core.RRStore, from, to int) [][]graph.VertexID {
 	t.Helper()
 	sets := make([][]graph.VertexID, 0, to-from)
 	if err := s.ForEach(from, to, func(_ int, set []graph.VertexID) error {
-		sets = append(sets, set)
+		sets = append(sets, slices.Clone(set))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -179,7 +181,7 @@ func TestResumeBuilderRejectsDifferentProbabilities(t *testing.T) {
 	if err := os.WriteFile(path, ckpt.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSpillStore(path, checkpointMetaFor(uc, diffusion.IC, 7), -1); !errors.Is(err, ErrCheckpointMeta) {
+	if _, err := OpenSpillStore(path, checkpointMetaFor(uc, diffusion.IC, 7), true); !errors.Is(err, ErrCheckpointMeta) {
 		t.Errorf("different-prob open: err = %v, want ErrCheckpointMeta", err)
 	}
 }
@@ -227,7 +229,7 @@ func TestOpenCheckpointAppendResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "build.ckpt")
 	meta := checkpointMetaFor(ig, diffusion.IC, 17)
 
-	s, err := OpenSpillStore(path, meta, -1)
+	s, err := OpenSpillStore(path, meta, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestOpenCheckpointAppendResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenSpillStore(path, meta, -1)
+	s2, err := OpenSpillStore(path, meta, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestOpenCheckpointAppendResume(t *testing.T) {
 
 	wrong := meta
 	wrong.Seed = 18
-	if _, err := OpenSpillStore(path, wrong, -1); !errors.Is(err, ErrCheckpointMeta) {
+	if _, err := OpenSpillStore(path, wrong, true); !errors.Is(err, ErrCheckpointMeta) {
 		t.Errorf("mismatched meta: err = %v, want ErrCheckpointMeta", err)
 	}
 }
@@ -279,7 +281,7 @@ func TestOpenCheckpointTruncatesTornTail(t *testing.T) {
 	ig := karateGraph(t)
 	path := filepath.Join(t.TempDir(), "build.ckpt")
 	meta := checkpointMetaFor(ig, diffusion.IC, 23)
-	s, err := OpenSpillStore(path, meta, -1)
+	s, err := OpenSpillStore(path, meta, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +310,7 @@ func TestOpenCheckpointTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenSpillStore(path, meta, -1)
+	s2, err := OpenSpillStore(path, meta, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +328,7 @@ func TestOpenCheckpointTruncatesTornTail(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s3, err := OpenSpillStore(path, meta, -1)
+	s3, err := OpenSpillStore(path, meta, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +374,7 @@ func TestBuildWithCheckpointResumes(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	durable, err := OpenSpillStore(path, checkpointMetaFor(ig, diffusion.IC, seed), -1)
+	durable, err := OpenSpillStore(path, checkpointMetaFor(ig, diffusion.IC, seed), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +452,7 @@ func TestInspectV1AndV2(t *testing.T) {
 	// v2 checkpoint with two segments.
 	ig := karateGraph(t)
 	ckptPath := filepath.Join(dir, "k.ckpt")
-	s, err := OpenSpillStore(ckptPath, checkpointMetaFor(ig, diffusion.IC, 3), -1)
+	s, err := OpenSpillStore(ckptPath, checkpointMetaFor(ig, diffusion.IC, 3), true)
 	if err != nil {
 		t.Fatal(err)
 	}

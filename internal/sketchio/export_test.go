@@ -1,8 +1,4 @@
 package sketchio
 
 // segmentDecodes returns how many segments s has decoded from its file.
-func (s *SpillStore) segmentDecodes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.decodes
-}
+func (s *SpillStore) segmentDecodes() int { return int(s.decodes.Load()) }

@@ -132,9 +132,9 @@ func inspectSketch(br *bufio.Reader, hdr []byte, info *FileInfo) {
 	}
 
 	if h.version == versionV1 {
-		// Validate-and-discard (nil arena): multi-GB sketches verify without
+		// Validate-and-discard (nil fn): multi-GB sketches verify without
 		// materializing their RR sets.
-		_, err := readRecords(tee, h.n, h.numSets, h.count, nil)
+		err := readRecords(tee, h.n, h.numSets, h.count, nil)
 		if !add(SectionInfo{Name: "payload", Offset: off, Size: int64(h.count), Sets: h.numSets}, err) {
 			return
 		}
@@ -239,7 +239,7 @@ func inspectV2(br *bufio.Reader, hdr []byte, info *FileInfo) {
 
 	off := int64(headerLen)
 	for i := 0; ; i++ {
-		_, count, size, crc, err := readSegment(br, meta.N, info.NumSets, nil)
+		count, size, crc, err := readSegment(br, meta.N, info.NumSets, nil)
 		if err == io.EOF {
 			return
 		}

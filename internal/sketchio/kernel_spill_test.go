@@ -11,12 +11,12 @@ import (
 	"imdist/internal/graph"
 )
 
-// spillOracleWithKernel runs a fixed-size spill build with a tiny working-set
-// budget and finalizes its oracle pinned to kernel k, so queries read RR sets
-// through the disk-backed store.
+// spillOracleWithKernel runs a fixed-size spill build, whose store keeps no
+// sets and so builds the member index from the file, and finalizes its oracle
+// pinned to kernel k.
 func spillOracleWithKernel(t *testing.T, path string, total int, seed uint64, k core.Kernel) *core.Oracle {
 	t.Helper()
-	b, store, res, err := BuildSpill(context.Background(), path, karateGraph(t), diffusion.IC, 2, seed, 8<<10,
+	b, store, res, err := BuildSpill(context.Background(), path, karateGraph(t), diffusion.IC, 2, seed, 0,
 		core.BuildTarget{MaxSets: total, MaxBatch: 512})
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +38,8 @@ func spillOracleWithKernel(t *testing.T, path string, total int, seed uint64, k 
 // TestSpillOracleKernelEquivalence pins the byte-identical-answer contract on
 // spill-backed oracles: the bitpack kernel must reproduce the epoch kernel's
 // influence values bit for bit, its batch answers at several worker counts,
-// and its greedy seed selection — even though both oracles read their RR sets
-// through disk-backed stores built with an 8 KiB working set.
+// and its greedy seed selection — even though both oracles built their member
+// indexes from RR sets decoded back from spill files.
 func TestSpillOracleKernelEquivalence(t *testing.T) {
 	const total, seed = 8000, 53
 	dir := t.TempDir()

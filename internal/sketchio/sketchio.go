@@ -62,6 +62,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"unsafe"
 
 	"imdist/internal/core"
@@ -82,9 +83,10 @@ const (
 	// shard lineage extension follows the header.
 	flagSharded = 0x1
 	lineageLen  = 24
-	// maxRecordBuf caps the per-record read buffer a hostile count field can
-	// request before validation against n kicks in.
-	maxRecordBuf = 1 << 26 // 64 MiB, i.e. 2^24 vertices per RR set
+	// maxRecordBuf caps one RR-set record: 64 MiB, i.e. 2^24 vertices.
+	maxRecordBuf = 1 << 26
+	// recordChunk is how many vertices readRecords reads at a time (64 KiB).
+	recordChunk = 1 << 14
 	// maxV1FreeVertices is the vertex count a version 1 file may declare
 	// regardless of its size: loading it allocates 8 bytes of offsets per
 	// vertex, 128 MiB at this count.
@@ -453,7 +455,7 @@ func decodeImage(data []byte) (o *core.Oracle, aliased bool, err error) {
 func decodeBody(h header, body []byte) (o *core.Oracle, aliased bool, err error) {
 	if h.version == versionV1 {
 		var rrSets [][]graph.VertexID
-		if rrSets, err = readRecords(bytes.NewReader(body), h.n, h.numSets, h.count, &vertexArena{}); err != nil {
+		if err = readRecords(bytes.NewReader(body), h.n, h.numSets, h.count, new(vertexArena).keep(&rrSets)); err != nil {
 			return nil, false, err
 		}
 		o, err = core.NewOracleFromRRSets(h.n, h.model, h.seed, rrSets)
@@ -488,72 +490,69 @@ func memberViews(offBytes, entBytes []byte) (offsets []uint64, entries []int32, 
 }
 
 // readRecords decodes numSets length-prefixed RR-set records spanning exactly
-// payloadLen bytes of r, validating every vertex id against [0, n). It is the
-// record decoder shared by version 1 sketches and v2 checkpoint segments.
-// The sets' backing storage is carved from arena (chunked, one large
-// allocation per ~4 MiB of payload instead of one per record); with a nil
-// arena the records are validated and discarded instead of materialized
-// (returning nil) — Inspect verifies multi-GB files in O(record) memory this
-// way.
-func readRecords(tee io.Reader, n, numSets int, payloadLen uint64, arena *vertexArena) ([][]graph.VertexID, error) {
-	var rrSets [][]graph.VertexID
-	if arena != nil {
-		rrSets = make([][]graph.VertexID, numSets)
-	}
+// payloadLen bytes of r, validating every vertex id against [0, n), and hands
+// each set to fn in order, stopping at fn's first error; a nil fn only
+// validates. It is the one record decoder: version 1 sketches, v2 checkpoint
+// segments and spill-store scans all call it. Records are read in chunks of
+// at most recordChunk vertices and the set buffer grows only as bytes arrive,
+// so a hostile count cannot request more than one chunk the input does not
+// hold. The set fn receives is that buffer, reused for the next record and
+// valid only until fn returns: Inspect verifies multi-GB files in O(record)
+// memory, and a caller that keeps sets copies them (vertexArena.keep).
+func readRecords(r io.Reader, n, numSets int, payloadLen uint64, fn func(i int, set []graph.VertexID) error) error {
 	remaining := payloadLen
 	var lenBuf [4]byte
-	var recBuf []byte
+	var chunk []byte
+	var set []graph.VertexID
 	for i := 0; i < numSets; i++ {
 		if remaining < 4 {
-			return nil, fmt.Errorf("%w: payload exhausted at RR set %d", ErrCorrupt, i)
+			return fmt.Errorf("%w: payload exhausted at RR set %d", ErrCorrupt, i)
 		}
-		if _, err := io.ReadFull(tee, lenBuf[:]); err != nil {
-			return nil, readErr(err)
+		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+			return readErr(err)
 		}
 		remaining -= 4
 		count := binary.LittleEndian.Uint32(lenBuf[:])
-		// An RR set holds distinct vertices, so its size cannot exceed n —
-		// this also bounds the buffer a hostile count can request.
+		// An RR set holds distinct vertices, so its size cannot exceed n.
 		if uint64(count) > uint64(n) {
-			return nil, fmt.Errorf("%w: RR set %d claims %d members on a %d-vertex graph", ErrCorrupt, i, count, n)
+			return fmt.Errorf("%w: RR set %d claims %d members on a %d-vertex graph", ErrCorrupt, i, count, n)
 		}
 		need := 4 * uint64(count)
 		if need > remaining {
-			return nil, fmt.Errorf("%w: RR set %d overruns payload", ErrCorrupt, i)
+			return fmt.Errorf("%w: RR set %d overruns payload", ErrCorrupt, i)
 		}
 		if need > maxRecordBuf {
-			return nil, fmt.Errorf("%w: RR set %d record of %d bytes exceeds limit", ErrCorrupt, i, need)
-		}
-		if uint64(cap(recBuf)) < need {
-			recBuf = make([]byte, need)
-		}
-		buf := recBuf[:need]
-		if _, err := io.ReadFull(tee, buf); err != nil {
-			return nil, readErr(err)
+			return fmt.Errorf("%w: RR set %d record of %d bytes exceeds limit", ErrCorrupt, i, need)
 		}
 		remaining -= need
-		if arena == nil {
-			for j := 0; j < int(count); j++ {
-				if v := binary.LittleEndian.Uint32(buf[4*j:]); uint64(v) >= uint64(n) {
-					return nil, fmt.Errorf("%w: RR set %d contains vertex %d outside [0, %d)", ErrCorrupt, i, v, n)
+		set = set[:0]
+		for left := int(count); left > 0; {
+			k := min(left, recordChunk)
+			chunk = slices.Grow(chunk[:0], 4*k)[:4*k]
+			if _, err := io.ReadFull(r, chunk); err != nil {
+				return readErr(err)
+			}
+			base := len(set)
+			set = slices.Grow(set, k)[:base+k]
+			for j := range k {
+				v := binary.LittleEndian.Uint32(chunk[4*j:])
+				if uint64(v) >= uint64(n) {
+					return fmt.Errorf("%w: RR set %d contains vertex %d outside [0, %d)", ErrCorrupt, i, v, n)
 				}
+				set[base+j] = graph.VertexID(v)
 			}
-			continue
+			left -= k
 		}
-		set := arena.alloc(int(count))
-		for j := range set {
-			v := binary.LittleEndian.Uint32(buf[4*j:])
-			if uint64(v) >= uint64(n) {
-				return nil, fmt.Errorf("%w: RR set %d contains vertex %d outside [0, %d)", ErrCorrupt, i, v, n)
+		if fn != nil {
+			if err := fn(i, set); err != nil {
+				return err
 			}
-			set[j] = graph.VertexID(v)
 		}
-		rrSets[i] = set
 	}
 	if remaining != 0 {
-		return nil, fmt.Errorf("%w: %d unread payload bytes after last RR set", ErrCorrupt, remaining)
+		return fmt.Errorf("%w: %d unread payload bytes after last RR set", ErrCorrupt, remaining)
 	}
-	return rrSets, nil
+	return nil
 }
 
 func readErr(err error) error {

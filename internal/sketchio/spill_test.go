@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -30,11 +31,12 @@ func memoryBuiltSketch(t testing.TB, workers, total int, seed uint64) ([]byte, *
 	return encodeOracle(t, o), b
 }
 
-// spillBuiltSketch runs a fixed-size spill build and returns the finalized v1
-// sketch bytes plus the store (closed via t.Cleanup).
-func spillBuiltSketch(t testing.TB, path string, workers, total int, seed uint64, budget int64, maxBatch int) ([]byte, *SpillStore) {
+// spillBuiltSketch runs a fixed-size BuildSpill in the given mode (negative
+// keeps every set, otherwise none) and returns the finalized sketch bytes plus
+// the store (closed via t.Cleanup).
+func spillBuiltSketch(t testing.TB, path string, workers, total int, seed uint64, mode int64, maxBatch int) ([]byte, *SpillStore) {
 	t.Helper()
-	b, store, res, err := BuildSpill(context.Background(), path, karateGraph(t), diffusion.IC, workers, seed, budget,
+	b, store, res, err := BuildSpill(context.Background(), path, karateGraph(t), diffusion.IC, workers, seed, mode,
 		core.BuildTarget{MaxSets: total, MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
@@ -50,10 +52,11 @@ func spillBuiltSketch(t testing.TB, path string, workers, total int, seed uint64
 	return encodeOracle(t, o), store
 }
 
-// TestSpillMatchesMemoryAcrossBudgetsAndWorkers is the equivalence matrix of
-// the satellite task: budgets {tiny, unbounded} × workers {1, 4} must all
-// produce a v1 sketch byte-identical (same SHA-256) to the in-memory build,
-// with identical ErrorBound values.
+// TestSpillMatchesMemoryAcrossBudgetsAndWorkers is the equivalence matrix:
+// both store modes × workers {1, 4} must all produce a sketch byte-identical
+// (same SHA-256) to the in-memory build, with identical ErrorBound values.
+// BuildSpill's int64 picks the mode by its sign: budget 4096 keeps no set,
+// -1 keeps every set.
 func TestSpillMatchesMemoryAcrossBudgetsAndWorkers(t *testing.T) {
 	const total, seed = 3000, 29
 	memSketch, memBuilder := memoryBuiltSketch(t, 2, total, seed)
@@ -64,8 +67,8 @@ func TestSpillMatchesMemoryAcrossBudgetsAndWorkers(t *testing.T) {
 		for _, budget := range []int64{4096, -1} {
 			t.Run(fmt.Sprintf("workers=%d/budget=%d", workers, budget), func(t *testing.T) {
 				path := filepath.Join(t.TempDir(), "build.spill")
-				// A small batch cap forces many segments, so the tiny budget
-				// actually cycles the working set.
+				// A small batch cap forces many segments, so a store that
+				// keeps no set reads many segments back from the file.
 				sketch, store := spillBuiltSketch(t, path, workers, total, seed, budget, 256)
 				if got := sha256.Sum256(sketch); got != wantSum {
 					t.Error("spill sketch not byte-identical to in-memory sketch")
@@ -87,15 +90,15 @@ func TestSpillMatchesMemoryAcrossBudgetsAndWorkers(t *testing.T) {
 }
 
 // TestSpillOracleSameBytesAcrossTransposeWorkers finalizes one spill store,
-// built under a budget far below its size so that most of its segments are
-// decoded back from the file, through builders of 1, 2 and 4 workers. Each
-// Oracle() transposes the store on its builder's workers, and each must
-// encode to the in-memory build's sketch bytes.
+// which keeps no set in memory and so decodes every segment back from the
+// file, through builders of 1, 2 and 4 workers. Each Oracle() transposes the
+// store on its builder's workers, and each must encode to the in-memory
+// build's sketch bytes.
 func TestSpillOracleSameBytesAcrossTransposeWorkers(t *testing.T) {
 	const total, seed = 5000, 37
 	want, _ := memoryBuiltSketch(t, 1, total, seed)
 	path := filepath.Join(t.TempDir(), "build.spill")
-	_, store := spillBuiltSketch(t, path, 2, total, seed, 4096, 128)
+	_, store := spillBuiltSketch(t, path, 2, total, seed, 0, 128)
 	if len(store.segs) < 20 {
 		t.Fatalf("spill build wrote %d segments, want many", len(store.segs))
 	}
@@ -114,10 +117,10 @@ func TestSpillOracleSameBytesAcrossTransposeWorkers(t *testing.T) {
 	}
 }
 
-// TestSpillBuildsTenTimesBudget is the acceptance criterion: a build whose
-// durable footprint exceeds 10× the memory budget still completes, keeps its
-// decoded working set within budget slack, and produces a sketch with the
-// same SHA-256 as the unconstrained in-memory build.
+// TestSpillBuildsTenTimesBudget: a spill build whose durable footprint is
+// more than ten times a tiny 8 KiB memory figure completes with no decoded
+// set resident, and produces a sketch with the same SHA-256 as the in-memory
+// build.
 func TestSpillBuildsTenTimesBudget(t *testing.T) {
 	const (
 		total  = 20000
@@ -126,19 +129,17 @@ func TestSpillBuildsTenTimesBudget(t *testing.T) {
 	)
 	memSketch, _ := memoryBuiltSketch(t, 4, total, seed)
 	path := filepath.Join(t.TempDir(), "big.spill")
-	sketch, store := spillBuiltSketch(t, path, 4, total, seed, budget, 512)
+	sketch, store := spillBuiltSketch(t, path, 4, total, seed, 0, 512)
 
 	st := store.Stats()
 	if st.SpillBytes < 10*budget {
-		t.Fatalf("spill footprint %d bytes not ≥ 10× the %d-byte budget — grow the build", st.SpillBytes, budget)
+		t.Fatalf("spill footprint %d bytes not ≥ 10× %d bytes — grow the build", st.SpillBytes, budget)
 	}
-	// The working set may hold one over-budget segment (the pinned newest),
-	// but never the whole build.
-	if st.MemBytes >= st.SpillBytes/2 {
-		t.Errorf("working set %d bytes is not bounded against %d spilled", st.MemBytes, st.SpillBytes)
+	if st.MemBytes != 0 {
+		t.Errorf("spill store keeps %d decoded bytes against %d spilled, want 0", st.MemBytes, st.SpillBytes)
 	}
 	if sha256.Sum256(sketch) != sha256.Sum256(memSketch) {
-		t.Error("10×-budget spill sketch not byte-identical to in-memory sketch")
+		t.Error("spill sketch not byte-identical to in-memory sketch")
 	}
 
 	// The file on disk doubles as a checkpoint: a plain checkpoint reader
@@ -177,7 +178,7 @@ func TestSpillResumeMidBuildKill(t *testing.T) {
 			return nil
 		},
 	}
-	_, store, _, err := BuildSpill(ctx, path, karateGraph(t), diffusion.IC, 2, seed, 16<<10, target)
+	_, store, _, err := BuildSpill(ctx, path, karateGraph(t), diffusion.IC, 2, seed, 0, target)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build returned %v, want context.Canceled", err)
 	}
@@ -190,7 +191,7 @@ func TestSpillResumeMidBuildKill(t *testing.T) {
 	}
 
 	// Resume: same path, same identity, different worker count on purpose.
-	b2, store2, res, err := BuildSpill(context.Background(), path, karateGraph(t), diffusion.IC, 4, seed, 16<<10,
+	b2, store2, res, err := BuildSpill(context.Background(), path, karateGraph(t), diffusion.IC, 4, seed, 0,
 		core.BuildTarget{MaxSets: total, MaxBatch: 500})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +215,7 @@ func TestOpenSpillStoreTruncatesTornTail(t *testing.T) {
 	ig := karateGraph(t)
 	meta := checkpointMetaFor(ig, diffusion.IC, 41)
 	path := filepath.Join(t.TempDir(), "torn.spill")
-	s, err := OpenSpillStore(path, meta, 0)
+	s, err := OpenSpillStore(path, meta, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestOpenSpillStoreTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenSpillStore(path, meta, 0)
+	s2, err := OpenSpillStore(path, meta, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestOpenSpillStoreTruncatesTornTail(t *testing.T) {
 
 	wrong := meta
 	wrong.Seed++
-	if _, err := OpenSpillStore(path, wrong, 0); !errors.Is(err, ErrCheckpointMeta) {
+	if _, err := OpenSpillStore(path, wrong, false); !errors.Is(err, ErrCheckpointMeta) {
 		t.Errorf("mismatched meta: err = %v, want ErrCheckpointMeta", err)
 	}
 }
@@ -275,76 +276,72 @@ func setsEqual(a, b []graph.VertexID) bool {
 }
 
 // TestSpillStoreConcurrentReadsWithAppend drives the RRStore concurrency
-// contract on the disk-backed store under -race: short and whole-segment
-// ForEach scans and stats race with one appender.
+// contract on the disk-backed store, in both modes, under -race: short and
+// whole-segment ForEach scans and stats race with one appender.
 func TestSpillStoreConcurrentReadsWithAppend(t *testing.T) {
 	ig := karateGraph(t)
 	meta := checkpointMetaFor(ig, diffusion.IC, 43)
-	s, err := OpenSpillStore(filepath.Join(t.TempDir(), "conc.spill"), meta, 2<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	b := mustBuilder(t, ig, 2, 43)
 	appendSets(t, b, 2000)
 	want := setsRange(t, b, 0, 2000)
-	if err := s.Append(want[:1000]); err != nil {
-		t.Fatal(err)
-	}
 	check := func(i int, set []graph.VertexID) error {
 		if !setsEqual(set, want[i]) {
 			return fmt.Errorf("set %d mismatch under concurrency", i)
 		}
 		return nil
 	}
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for from := 1000; from < 2000; from += 100 {
-			if err := s.Append(want[from : from+100]); err != nil {
-				t.Error(err)
-				return
+	for _, keepSets := range []bool{false, true} {
+		t.Run(fmt.Sprintf("keepSets=%v", keepSets), func(t *testing.T) {
+			s, err := OpenSpillStore(filepath.Join(t.TempDir(), "conc.spill"), meta, keepSets)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 300; i++ {
-			if err := s.ForEach(i%1000, i%1000+1, check); err != nil {
-				t.Error(err)
-				return
+			defer s.Close()
+			if err := s.Append(want[:1000]); err != nil {
+				t.Fatal(err)
 			}
-			_ = s.Stats()
-		}
-		if err := s.ForEach(0, 1000, check); err != nil {
-			t.Error(err)
-		}
-	}()
-	wg.Wait()
-	if s.NumSets() != 2000 {
-		t.Errorf("store holds %d sets, want 2000", s.NumSets())
-	}
-	// The newest entry is never evicted, even over budget, so the bound is
-	// the largest segment (the first, 1000-set one), not the budget itself.
-	var seg0 int64
-	for _, set := range want[:1000] {
-		seg0 += 24 + 4*int64(len(set))
-	}
-	if st := s.Stats(); st.MemBytes > max(2<<10, seg0) {
-		t.Errorf("working set %d exceeds one pinned segment (%d) on a tiny budget", st.MemBytes, seg0)
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for from := 1000; from < 2000; from += 100 {
+					if err := s.Append(want[from : from+100]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 300; i++ {
+					if err := s.ForEach(i%1000, i%1000+1, check); err != nil {
+						t.Error(err)
+						return
+					}
+					_ = s.Stats()
+				}
+				if err := s.ForEach(0, 1000, check); err != nil {
+					t.Error(err)
+				}
+			}()
+			wg.Wait()
+			if s.NumSets() != 2000 {
+				t.Errorf("store holds %d sets, want 2000", s.NumSets())
+			}
+			if err := s.ForEach(0, 2000, check); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
-// TestSpillStoreEviction checks the budget actually evicts: after appending
-// far more than the budget, the cache holds a strict subset, and re-reading
-// an evicted segment decodes it back correctly.
-func TestSpillStoreEviction(t *testing.T) {
+// TestSpillStoreKeepsNoSets: a store that keeps no sets reports no decoded
+// bytes resident after its appends, and reads back, through the file, sets
+// equal to the builder's at every segment boundary.
+func TestSpillStoreKeepsNoSets(t *testing.T) {
 	ig := karateGraph(t)
 	meta := checkpointMetaFor(ig, diffusion.IC, 47)
-	const budget = 4 << 10
-	s, err := OpenSpillStore(filepath.Join(t.TempDir(), "evict.spill"), meta, budget)
+	s, err := OpenSpillStore(filepath.Join(t.TempDir(), "none.spill"), meta, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,14 +354,16 @@ func TestSpillStoreEviction(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.MemBytes >= st.PayloadBytes {
-		t.Fatalf("nothing evicted: mem %d vs payload %d", st.MemBytes, st.PayloadBytes)
+	if st.MemBytes != 0 || st.Sets != 3000 || st.PayloadBytes <= 0 {
+		t.Fatalf("stats after appends = %+v, want 3000 sets and no decoded bytes", st)
 	}
-	// Oldest segments are long evicted; read them back through the file.
 	for _, i := range []int{0, 1, 249, 250, 1500, 2999} {
 		if !setsEqual(storeSets(t, s, i, i+1)[0], setsRange(t, b, i, i+1)[0]) {
-			t.Errorf("set %d corrupted across eviction round-trip", i)
+			t.Errorf("set %d read back differs from the builder's", i)
 		}
+	}
+	if !reflect.DeepEqual(storeSets(t, s, 100, 2600), setsRange(t, b, 100, 2600)) {
+		t.Error("sets [100, 2600) read back differ from the builder's")
 	}
 }
 
@@ -403,12 +402,12 @@ func roundSizes(t testing.TB, total int, seed uint64) []int {
 	return rounds
 }
 
-// spillBuildTo runs a fixed-size BuildSpill of total sets at budget into a
-// fresh file and returns its path.
-func spillBuildTo(t testing.TB, total int, seed uint64, budget int64) string {
+// spillBuildTo runs a fixed-size BuildSpill of total sets in the given mode
+// into a fresh file and returns its path.
+func spillBuildTo(t testing.TB, total int, seed uint64, mode int64) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "build.ckpt")
-	_, store, res, err := BuildSpill(context.Background(), path, karateGraph(t), diffusion.IC, 2, seed, budget, core.BuildTarget{MaxSets: total})
+	_, store, res, err := BuildSpill(context.Background(), path, karateGraph(t), diffusion.IC, 2, seed, mode, core.BuildTarget{MaxSets: total})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,10 +424,10 @@ func spillBuildTo(t testing.TB, total int, seed uint64, budget int64) string {
 // appends more than DefaultSpillMaxBatch sets.
 const spillRoundsTotal = 200_000
 
-// TestUnboundedBuildSpillWritesOneSegmentPerRound: an unbounded build keeps
-// BuildToTarget's doubling rounds, so its file holds one segment per round
-// of the in-memory build — 1,024, 1,024, 2,048, … sets — including a round
-// larger than DefaultSpillMaxBatch.
+// TestUnboundedBuildSpillWritesOneSegmentPerRound: a checkpointed build, whose
+// store keeps every set, keeps BuildToTarget's doubling rounds, so its file
+// holds one segment per round of the in-memory build — 1,024, 1,024, 2,048, …
+// sets — including a round larger than DefaultSpillMaxBatch.
 func TestUnboundedBuildSpillWritesOneSegmentPerRound(t *testing.T) {
 	const seed = 59
 	got := segmentSizes(t, spillBuildTo(t, spillRoundsTotal, seed, -1))
@@ -444,9 +443,9 @@ func TestUnboundedBuildSpillWritesOneSegmentPerRound(t *testing.T) {
 	}
 }
 
-// TestBoundedBuildSpillCapsSegments: a build with a bounded working set
-// appends at most DefaultSpillMaxBatch sets per round, so no segment of its
-// file is larger.
+// TestBoundedBuildSpillCapsSegments: a spill build, whose store keeps no
+// sets, appends at most DefaultSpillMaxBatch sets per round, so no segment of
+// its file is larger.
 func TestBoundedBuildSpillCapsSegments(t *testing.T) {
 	got := segmentSizes(t, spillBuildTo(t, spillRoundsTotal, 59, 0))
 	total := 0
@@ -459,10 +458,11 @@ func TestBoundedBuildSpillCapsSegments(t *testing.T) {
 	}
 }
 
-// TestUnboundedSpillStoreDecodesOnce: reopening a file into an unbounded
-// store decodes each durable segment exactly once, during the open scan, and
-// finalizing oracles over it decodes nothing more. A bounded store decodes
-// nothing at open and reads the segments back on every transpose.
+// TestUnboundedSpillStoreDecodesOnce: reopening a file into a store that
+// keeps its sets decodes each durable segment exactly once, during the open
+// scan, and finalizing oracles over it decodes nothing more. A store that
+// keeps none decodes nothing at open and reads every segment back on each
+// transpose pass.
 func TestUnboundedSpillStoreDecodesOnce(t *testing.T) {
 	const total, seed = 5000, 61
 	ig := karateGraph(t)
@@ -487,30 +487,30 @@ func TestUnboundedSpillStoreDecodesOnce(t *testing.T) {
 		}
 	}
 
-	s, err := OpenSpillStore(path, meta, -1)
+	s, err := OpenSpillStore(path, meta, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	segs := len(s.segs)
 	if got := s.segmentDecodes(); segs < 3 || got != segs {
-		t.Fatalf("unbounded open decoded %d times for %d segments", got, segs)
+		t.Fatalf("opening a store that keeps its sets decoded %d times for %d segments", got, segs)
 	}
 	oracleTwice(s)
 	if got := s.segmentDecodes(); got != segs {
-		t.Errorf("two Oracle() calls over an unbounded store decoded %d more segments", got-segs)
+		t.Errorf("two Oracle() calls over a store that keeps its sets decoded %d more segments", got-segs)
 	}
 
-	bounded, err := OpenSpillStore(path, meta, 1)
+	spill, err := OpenSpillStore(path, meta, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer bounded.Close()
-	if got := bounded.segmentDecodes(); got != 0 {
-		t.Fatalf("bounded open decoded %d segments", got)
+	defer spill.Close()
+	if got := spill.segmentDecodes(); got != 0 {
+		t.Fatalf("opening a store that keeps no sets decoded %d segments", got)
 	}
-	oracleTwice(bounded)
-	if got := bounded.segmentDecodes(); got < 2*segs {
-		t.Errorf("two Oracle() calls over a bounded store decoded %d segments, want at least %d", got, 2*segs)
+	oracleTwice(spill)
+	if got := spill.segmentDecodes(); got < 2*segs {
+		t.Errorf("two Oracle() calls over a store that keeps no sets decoded %d segments, want at least %d", got, 2*segs)
 	}
 }
